@@ -1,7 +1,12 @@
-let mem a k =
-  let n = Array.length a in
-  let rec go i = i < n && (a.(i) = k || go (i + 1)) in
-  go 0
+(* Membership and removal are top-level loops rather than local
+   closures: they sit on every table lookup and update, which then
+   allocate nothing beyond the arrays they return. The [int array]
+   annotations make [=] an integer compare and [a.(i)] a plain load,
+   not the polymorphic versions. *)
+let rec mem_from (a : int array) k i =
+  i < Array.length a && (a.(i) = k || mem_from a k (i + 1))
+
+let mem a k = mem_from a k 0
 
 let add a k =
   assert (not (mem a k));
@@ -10,10 +15,12 @@ let add a k =
   Array.blit a 0 b 0 n;
   b
 
+let rec index_from (a : int array) k i =
+  if a.(i) = k then i else index_from a k (i + 1)
+
 let remove a k =
   let n = Array.length a in
-  let rec index i = if a.(i) = k then i else index (i + 1) in
-  let i = index 0 in
+  let i = index_from a k 0 in
   let b = Array.make (n - 1) 0 in
   Array.blit a 0 b 0 i;
   Array.blit a (i + 1) b i (n - 1 - i);
@@ -21,16 +28,18 @@ let remove a k =
 
 let filter_mask a ~mask ~target =
   let count = ref 0 in
-  Array.iter (fun k -> if k land mask = target then incr count) a;
+  for i = 0 to Array.length a - 1 do
+    if a.(i) land mask = target then incr count
+  done;
   let b = Array.make !count 0 in
   let j = ref 0 in
-  Array.iter
-    (fun k ->
-      if k land mask = target then begin
-        b.(!j) <- k;
-        incr j
-      end)
-    a;
+  for i = 0 to Array.length a - 1 do
+    let k = a.(i) in
+    if k land mask = target then begin
+      b.(!j) <- k;
+      incr j
+    end
+  done;
   b
 
 let disjoint_union = Array.append

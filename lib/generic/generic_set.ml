@@ -126,7 +126,7 @@ module Make (K : Hashtbl.HashedType) = struct
 
   (* Cooperative sweep hooks (see Nbhash.Sweep and Table_core). *)
   let sweep_migrate hn i = init_bucket hn i
-  let sweep_complete hn () =
+  let sweep_complete hn =
     Atomic.set hn.pred None
     [@nbhash.cas_ok
       "one-way Some -> None: every writer publishes the same final value \
@@ -136,8 +136,8 @@ module Make (K : Hashtbl.HashedType) = struct
     let m = t.policy.Policy.migration in
     if m.Policy.eager && Atomic.get hn.pred <> None then
       Sweep.help hn.sweep ~chunk:m.Policy.chunk
-        ~max_helpers:m.Policy.max_helpers ~migrate:(sweep_migrate hn)
-        ~on_complete:(sweep_complete hn)
+        ~max_helpers:m.Policy.max_helpers ~migrate:sweep_migrate
+        ~complete:sweep_complete hn
 
   let resize t grow =
     let hn = Atomic.get t.head in
@@ -149,7 +149,7 @@ module Make (K : Hashtbl.HashedType) = struct
       let m = t.policy.Policy.migration in
       if m.Policy.eager && Atomic.get hn.pred <> None then
         Sweep.drain hn.sweep ~chunk:m.Policy.chunk
-          ~migrate:(sweep_migrate hn) ~on_complete:(sweep_complete hn);
+          ~migrate:sweep_migrate ~complete:sweep_complete hn;
       for i = 0 to hn.size - 1 do
         init_bucket hn i
       done;
@@ -218,7 +218,10 @@ module Make (K : Hashtbl.HashedType) = struct
     if
       Policy.Trigger.want_grow h.table.policy h.local ~cur_buckets:hn.size
         ~migrating:(Atomic.get hn.pred <> None)
-        ~inserted_bucket_size:(fun () -> slot_size hn.buckets.(hk land hn.mask))
+        ~inserted_bucket_size:
+          (if Policy.reads_bucket_sizes h.table.policy then fun () ->
+             slot_size hn.buckets.(hk land hn.mask)
+           else Policy.unread_size)
     then resize h.table true
 
   let after_del h ~resp =
@@ -228,7 +231,10 @@ module Make (K : Hashtbl.HashedType) = struct
     if
       Policy.Trigger.want_shrink h.table.policy h.local ~cur_buckets:hn.size
         ~migrating:(Atomic.get hn.pred <> None)
-        ~sample_bucket_size:(fun i -> slot_size hn.buckets.(i))
+        ~sample_bucket_size:
+          (if Policy.reads_bucket_sizes h.table.policy then fun i ->
+             slot_size hn.buckets.(i)
+           else Policy.unread_size)
     then resize h.table false
 
   let add h k =

@@ -48,6 +48,10 @@ val bucket_sizes : 'v t -> int array
 val inspect : 'v t -> Hashset_intf.table_view
 (** Structural health snapshot; see {!Hashset_intf.S.inspect}. *)
 
+val migrating : 'v t -> bool
+(** A resize is still being absorbed (the head has a predecessor):
+    [(inspect t).migrating] in constant time. *)
+
 val pending_ops : 'v t -> (int * int) array
 (** Always [[||]]: the lock-free map announces no operations; see
     {!Hashset_intf.S.pending_ops}. *)

@@ -118,14 +118,14 @@ let init_bucket hn i =
 (* Cooperative sweep hooks (see Sweep and Table_core): one idempotent
    lazy step per index, early predecessor cut on completion. *)
 let sweep_migrate hn i = ignore (init_bucket hn i)
-let sweep_complete hn () = Atomic.set hn.pred None
+let sweep_complete hn = Atomic.set hn.pred None
 
 let help_migration t hn =
   let m = t.policy.Policy.migration in
   if m.Policy.eager && Atomic.get hn.pred <> None then
     Sweep.help hn.sweep ~chunk:m.Policy.chunk
-      ~max_helpers:m.Policy.max_helpers ~migrate:(sweep_migrate hn)
-      ~on_complete:(sweep_complete hn)
+      ~max_helpers:m.Policy.max_helpers ~migrate:sweep_migrate
+      ~complete:sweep_complete hn
 
 let resize t grow =
   let hn = Atomic.get t.head in
@@ -137,8 +137,8 @@ let resize t grow =
     let start_ns = Tm.span_begin Ev.Resize_span in
     let m = t.policy.Policy.migration in
     if m.Policy.eager && Atomic.get hn.pred <> None then
-      Sweep.drain hn.sweep ~chunk:m.Policy.chunk ~migrate:(sweep_migrate hn)
-        ~on_complete:(sweep_complete hn);
+      Sweep.drain hn.sweep ~chunk:m.Policy.chunk ~migrate:sweep_migrate
+        ~complete:sweep_complete hn;
     for i = 0 to hn.size - 1 do
       ignore (init_bucket hn i)
     done;
@@ -211,7 +211,10 @@ let after_insert h k ~resp =
   if
     Policy.Trigger.want_grow h.table.policy h.local ~cur_buckets:hn.size
       ~migrating:(Atomic.get hn.pred <> None)
-      ~inserted_bucket_size:(fun () -> slot_size hn.buckets.(k land hn.mask))
+      ~inserted_bucket_size:
+        (if Policy.reads_bucket_sizes h.table.policy then fun () ->
+           slot_size hn.buckets.(k land hn.mask)
+         else Policy.unread_size)
   then resize h.table true
 
 let after_remove h ~resp =
@@ -221,7 +224,10 @@ let after_remove h ~resp =
   if
     Policy.Trigger.want_shrink h.table.policy h.local ~cur_buckets:hn.size
       ~migrating:(Atomic.get hn.pred <> None)
-      ~sample_bucket_size:(fun i -> slot_size hn.buckets.(i))
+      ~sample_bucket_size:
+        (if Policy.reads_bucket_sizes h.table.policy then fun i ->
+           slot_size hn.buckets.(i)
+         else Policy.unread_size)
   then resize h.table false
 
 let insert h k =

@@ -146,6 +146,15 @@ let validate p =
     if grow /. 2. <= shrink then
       invalid_arg "Policy: grow/shrink band too narrow (needs grow > 2*shrink)"
 
+(* Whether the heuristic reads bucket sizes at all. Tables build the
+   bucket-size callbacks of [Trigger.want_grow]/[want_shrink] only when
+   it does and pass [unread_size] otherwise, so the default
+   Load_factor update path allocates no closure. *)
+let reads_bucket_sizes p =
+  match p.heuristic with Bucket_size _ -> true | Load_factor _ -> false
+
+let unread_size _ = 0
+
 (* Approximate element counting: per-handle deltas are folded into the
    shared cell in batches, so hot paths touch no shared state on most
    operations and the count is only ever off by a small bounded

@@ -87,11 +87,16 @@ let observe_participation t =
   then Tm.observe Ev.Sweep_helpers (claimant_count t)
 
 (* Claim one chunk of [chunk] indices and migrate it with the
-   idempotent per-index [migrate]. Returns [false] iff the cursor was
-   already exhausted. [on_complete] fires on the call that processes
-   the last outstanding index — every bucket is then initialized, so
-   the caller may cut the predecessor loose early. *)
-let claim_chunk t ~chunk ~migrate ~on_complete =
+   idempotent per-index [migrate ctx i]. Returns [false] iff the cursor
+   was already exhausted. [complete ctx] fires on the call that
+   processes the last outstanding index — every bucket is then
+   initialized, so the caller may cut the predecessor loose early.
+
+   The context-passing shape is for the hot path: the table passes its
+   HNode as [ctx] and two top-level functions as [migrate] and
+   [complete], so a call allocates nothing, where closures over the
+   HNode would be built by every update passing through. *)
+let claim_chunk t ~chunk ~migrate ~complete ctx =
   let start = Atomic.fetch_and_add t.cursor chunk in
   if start >= t.total then false
   else begin
@@ -100,7 +105,7 @@ let claim_chunk t ~chunk ~migrate ~on_complete =
     note_claimer t;
     let start_ns = Tm.span_begin Ev.Sweep_span in
     for i = start to stop - 1 do
-      migrate i
+      migrate ctx i
     done;
     Tm.add Ev.Sweep_buckets_migrated (stop - start);
     Tm.record_span Ev.Sweep_span ~start_ns;
@@ -113,7 +118,7 @@ let claim_chunk t ~chunk ~migrate ~on_complete =
     let processed = stop - start in
     if Atomic.fetch_and_add t.processed processed + processed = t.total
     then begin
-      on_complete ();
+      complete ctx;
       observe_participation t
     end;
     true
@@ -124,11 +129,11 @@ let claim_chunk t ~chunk ~migrate ~on_complete =
    concurrent sweepers. Over- then under-counting [active] around the
    capacity check is the standard optimistic pattern: a burst may
    momentarily read over the cap and simply decline to help. *)
-let help t ~chunk ~max_helpers ~migrate ~on_complete =
+let help t ~chunk ~max_helpers ~migrate ~complete ctx =
   if not (exhausted t) then begin
     let n = Atomic.fetch_and_add t.active 1 in
     if n < max_helpers then
-      ignore (claim_chunk t ~chunk ~migrate ~on_complete);
+      ignore (claim_chunk t ~chunk ~migrate ~complete ctx);
     ignore (Atomic.fetch_and_add t.active (-1))
   end
 
@@ -137,8 +142,8 @@ let help t ~chunk ~max_helpers ~migrate ~on_complete =
    the migration alone. In-flight chunks of stalled helpers are NOT
    waited for; the caller must follow with its own idempotent
    full-table migration loop. *)
-let drain t ~chunk ~migrate ~on_complete =
-  while claim_chunk t ~chunk ~migrate ~on_complete do
+let drain t ~chunk ~migrate ~complete ctx =
+  while claim_chunk t ~chunk ~migrate ~complete ctx do
     ()
   done
 

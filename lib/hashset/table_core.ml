@@ -116,7 +116,7 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
      Invariant 11's condition for cutting the predecessor loose
      early. *)
   let sweep_migrate hn i = ignore (init_bucket hn i)
-  let sweep_complete hn () = Atomic.set hn.pred None
+  let sweep_complete hn = Atomic.set hn.pred None
 
   (* One helping step on the way through a migrating table: claim (at
      most) one chunk of nil buckets of the head and migrate it. Called
@@ -127,8 +127,8 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
     let m = t.policy.Policy.migration in
     if m.Policy.eager && Atomic.get hn.pred <> None then
       Sweep.help hn.sweep ~chunk:m.Policy.chunk
-        ~max_helpers:m.Policy.max_helpers ~migrate:(sweep_migrate hn)
-        ~on_complete:(sweep_complete hn)
+        ~max_helpers:m.Policy.max_helpers ~migrate:sweep_migrate
+        ~complete:sweep_complete hn
 
   (* RESIZE: force full migration into the head HNode, cut the
      now-immutable predecessor loose, and install a double- or
@@ -150,7 +150,7 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
       let m = t.policy.Policy.migration in
       if m.Policy.eager && Atomic.get hn.pred <> None then
         Sweep.drain hn.sweep ~chunk:m.Policy.chunk
-          ~migrate:(sweep_migrate hn) ~on_complete:(sweep_complete hn);
+          ~migrate:sweep_migrate ~complete:sweep_complete hn;
       for i = 0 to hn.size - 1 do
         ignore (init_bucket hn i)
       done;
@@ -217,7 +217,10 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
     if
       Policy.Trigger.want_grow t.policy local ~cur_buckets:hn.size
         ~migrating:(Atomic.get hn.pred <> None)
-        ~inserted_bucket_size:(fun () -> bucket_size_at hn (key land hn.mask))
+        ~inserted_bucket_size:
+          (if Policy.reads_bucket_sizes t.policy then fun () ->
+             bucket_size_at hn (key land hn.mask)
+           else Policy.unread_size)
     then resize t true
 
   let after_remove t local ~resp =
@@ -227,7 +230,9 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
     if
       Policy.Trigger.want_shrink t.policy local ~cur_buckets:hn.size
         ~migrating:(Atomic.get hn.pred <> None)
-        ~sample_bucket_size:(bucket_size_at hn)
+        ~sample_bucket_size:
+          (if Policy.reads_bucket_sizes t.policy then bucket_size_at hn
+           else Policy.unread_size)
     then resize t false
 
   (* The refinement mapping of Figure 3, reified: BuckSet(t, i) is the

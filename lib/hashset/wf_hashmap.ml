@@ -259,14 +259,14 @@ let ensure_bucket hn k =
 
 (* Cooperative sweep hooks (see Sweep and Table_core). *)
 let sweep_migrate hn i = init_bucket hn i
-let sweep_complete hn () = Atomic.set hn.pred None
+let sweep_complete hn = Atomic.set hn.pred None
 
 let help_migration t hn =
   let m = t.policy.Policy.migration in
   if m.Policy.eager && Atomic.get hn.pred <> None then
     Sweep.help hn.sweep ~chunk:m.Policy.chunk
-      ~max_helpers:m.Policy.max_helpers ~migrate:(sweep_migrate hn)
-      ~on_complete:(sweep_complete hn)
+      ~max_helpers:m.Policy.max_helpers ~migrate:sweep_migrate
+      ~complete:sweep_complete hn
 
 let resize t grow =
   let hn = Atomic.get t.head in
@@ -277,8 +277,8 @@ let resize t grow =
   if (hn.size > 1 || grow) && within_bounds then begin
     let m = t.policy.Policy.migration in
     if m.Policy.eager && Atomic.get hn.pred <> None then
-      Sweep.drain hn.sweep ~chunk:m.Policy.chunk ~migrate:(sweep_migrate hn)
-        ~on_complete:(sweep_complete hn);
+      Sweep.drain hn.sweep ~chunk:m.Policy.chunk ~migrate:sweep_migrate
+        ~complete:sweep_complete hn;
     for i = 0 to hn.size - 1 do
       init_bucket hn i
     done;
@@ -333,8 +333,10 @@ let after_insert h k ~grew =
   if
     Policy.Trigger.want_grow h.table.policy h.local ~cur_buckets:hn.size
       ~migrating:(Atomic.get hn.pred <> None)
-      ~inserted_bucket_size:(fun () ->
-        slot_pair_count hn.buckets.(k land hn.mask))
+      ~inserted_bucket_size:
+        (if Policy.reads_bucket_sizes h.table.policy then fun () ->
+           slot_pair_count hn.buckets.(k land hn.mask)
+         else Policy.unread_size)
   then resize h.table true
 
 let after_remove h ~resp =
@@ -344,7 +346,10 @@ let after_remove h ~resp =
   if
     Policy.Trigger.want_shrink h.table.policy h.local ~cur_buckets:hn.size
       ~migrating:(Atomic.get hn.pred <> None)
-      ~sample_bucket_size:(fun i -> slot_pair_count hn.buckets.(i))
+      ~sample_bucket_size:
+        (if Policy.reads_bucket_sizes h.table.policy then fun i ->
+           slot_pair_count hn.buckets.(i)
+         else Policy.unread_size)
   then resize h.table false
 
 (* --- public operations --- *)
@@ -435,6 +440,13 @@ let announce_pending t =
       | Some _ | None -> ())
     t.slots;
   !n
+
+(* A resize is still being absorbed: the head HNode has a
+   predecessor. One load per HNode, unlike [inspect]'s bucket census. *)
+let migrating t =
+  match Atomic.get (Atomic.get t.head).pred with
+  | Some _ -> true
+  | None -> false
 
 (* Structural health snapshot; see Table_core.inspect_with. A slot is
    frozen when its operation field reads [Frozen]. *)

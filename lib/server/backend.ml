@@ -186,18 +186,25 @@ let force_resize h ~shard ~grow =
   | HLF m -> Nbhash.Hashmap.force_resize m ~grow
   | HWF m -> Nbhash.Wf_hashmap.force_resize m ~grow
 
+let migrating_shard t i =
+  match t.shards.(i) with
+  | LF m -> Nbhash.Hashmap.migrating m
+  | WF m -> Nbhash.Wf_hashmap.migrating m
+
 (* Drive every shard's in-flight migration to completion: updates on
    reserved keys (at and above Protocol.max_key, which the wire
    protocol rejects from clients) participate in the cooperative sweep
-   until the window closes. The budget bounds a pathological spin; a
-   shard that will not drain within it is a bug the caller's
-   [migration_progress] assertion catches. *)
+   until the window closes. Each step re-checks the shard's
+   constant-time [migrating] flag, not a full [inspect] census. The
+   budget bounds a pathological spin; a shard that will not drain
+   within it is a bug the caller's [migration_progress] assertion
+   catches. *)
 let drain h =
   Array.iteri
     (fun i sh ->
       let probe = Protocol.max_key + 1 + i in
       let budget = ref 2_000_000 in
-      while (inspect_shard h.backend i).V.migrating && !budget > 0 do
+      while migrating_shard h.backend i && !budget > 0 do
         (match sh with
         | HLF m ->
           ignore (Nbhash.Hashmap.put m probe "");

@@ -13,6 +13,19 @@
 
 type 'a t = 'a Stdlib.Atomic.t
 
+(* One word per slot, immediates only; see nb_atomic_stubs.c. *)
+type int_array = int array
+
+module type INT_ARRAY = sig
+  type t = int_array
+
+  val make : int -> int -> t
+  val length : t -> int
+  val get : t -> int -> int
+  val compare_and_set : t -> int -> int -> int -> bool
+  val set_private : t -> int -> int -> unit
+end
+
 module type ATOMIC = sig
   type 'a t = 'a Stdlib.Atomic.t
 
@@ -24,6 +37,8 @@ module type ATOMIC = sig
   val fetch_and_add : int t -> int -> int
   val incr : int t -> unit
   val decr : int t -> unit
+
+  module Int_array : INT_ARRAY
 end
 
 (* Operation labels, carried by the [Step] effect so counterexample
@@ -39,6 +54,32 @@ let label_to_string = function
 
 type _ Effect.t += Step : label -> unit Effect.t
 
+external int_array_get : int array -> int -> int = "nbhash_int_array_get"
+[@@noalloc]
+
+external int_array_cas : int array -> int -> int -> int -> bool
+  = "nbhash_int_array_cas"
+[@@noalloc]
+
+let[@inline] check_index a i =
+  if i < 0 || i >= Array.length a then
+    invalid_arg "Nb_atomic.Int_array: index out of bounds"
+
+(* The backend-independent half of Int_array: allocation, length, and
+   the plain store a node's builder makes while no other thread can
+   see it. The store is not a scheduling point: nothing can observe a
+   private node, so the checker need not interleave its set-up. *)
+module Int_array_base = struct
+  type t = int_array
+
+  let make n v = Array.make n v
+  let length = Array.length
+
+  let set_private a i v =
+    check_index a i;
+    Array.unsafe_set a i v
+end
+
 (* The production backend: [Stdlib.Atomic] verbatim. *)
 module Real : ATOMIC = struct
   type 'a t = 'a Stdlib.Atomic.t
@@ -51,6 +92,18 @@ module Real : ATOMIC = struct
   let fetch_and_add = Stdlib.Atomic.fetch_and_add
   let incr = Stdlib.Atomic.incr
   let decr = Stdlib.Atomic.decr
+
+  module Int_array = struct
+    include Int_array_base
+
+    let[@inline] get a i =
+      check_index a i;
+      int_array_get a i
+
+    let[@inline] compare_and_set a i old nw =
+      check_index a i;
+      int_array_cas a i old nw
+  end
 end
 
 (* The checker backend: announce the operation as a scheduling point,
@@ -91,6 +144,20 @@ module Traced : ATOMIC = struct
   let decr r =
     Effect.perform (Step Fetch_and_add);
     Stdlib.Atomic.decr r
+
+  module Int_array = struct
+    include Int_array_base
+
+    let get a i =
+      check_index a i;
+      Effect.perform (Step Get);
+      int_array_get a i
+
+    let compare_and_set a i old nw =
+      check_index a i;
+      Effect.perform (Step Cas);
+      int_array_cas a i old nw
+  end
 end
 
 (* Raised only by the model checker, single-domain, around each
@@ -114,3 +181,21 @@ let[@inline] fetch_and_add r n =
 
 let[@inline] incr r = if !tracing then Traced.incr r else Stdlib.Atomic.incr r
 let[@inline] decr r = if !tracing then Traced.decr r else Stdlib.Atomic.decr r
+
+module Int_array = struct
+  include Int_array_base
+
+  let[@inline] get a i =
+    if !tracing then Traced.Int_array.get a i
+    else begin
+      check_index a i;
+      int_array_get a i
+    end
+
+  let[@inline] compare_and_set a i old nw =
+    if !tracing then Traced.Int_array.compare_and_set a i old nw
+    else begin
+      check_index a i;
+      int_array_cas a i old nw
+    end
+end

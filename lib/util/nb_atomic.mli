@@ -15,6 +15,34 @@
 
 type 'a t = 'a Stdlib.Atomic.t
 
+type int_array
+(** A fixed-length array of atomic ints stored flat: one word per
+    slot in one heap block, where an [int t array] costs a separate
+    boxed [Atomic.t] per slot. Loads and CASes are sequentially
+    consistent, like the [Atomic.t] operations (C stubs; OCaml 5.1 has
+    no atomic array-field primitive). Slots hold immediates only. *)
+
+(** Operations on {!int_array}. Indices are bounds-checked; an index
+    outside [\[0, length)] raises [Invalid_argument]. *)
+module type INT_ARRAY = sig
+  type t = int_array
+
+  val make : int -> int -> t
+  (** [make n v]: [n] slots, all [v]. *)
+
+  val length : t -> int
+  val get : t -> int -> int
+
+  val compare_and_set : t -> int -> int -> int -> bool
+  (** [compare_and_set a i old nw] sets slot [i] to [nw] iff it holds
+      [old], and says whether it did. *)
+
+  val set_private : t -> int -> int -> unit
+  (** A plain store, only for initializing an array no other thread
+      can reach yet; publishing it through an atomic then carries the
+      store. Not a scheduling point of the checker. *)
+end
+
 (** The operations the nonblocking libraries are allowed to use; both
     backends satisfy it over the same representation. *)
 module type ATOMIC = sig
@@ -28,6 +56,8 @@ module type ATOMIC = sig
   val fetch_and_add : int t -> int -> int
   val incr : int t -> unit
   val decr : int t -> unit
+
+  module Int_array : INT_ARRAY
 end
 
 (** What kind of atomic operation a scheduling point is about to run;
@@ -47,7 +77,8 @@ module Real : ATOMIC
 (** Pass-through [Stdlib.Atomic], no flag check. *)
 
 module Traced : ATOMIC
-(** Always yields {!Step} first; only usable under a handler. *)
+(** Always yields {!Step} first (also before each [Int_array] get and
+    CAS); only usable under a handler. *)
 
 val tracing : bool ref
 (** Model-checker hook. Only [Nbhash_check] should flip this, around a
@@ -64,3 +95,5 @@ val compare_and_set : 'a t -> 'a -> 'a -> bool
 val fetch_and_add : int t -> int -> int
 val incr : int t -> unit
 val decr : int t -> unit
+
+module Int_array : INT_ARRAY

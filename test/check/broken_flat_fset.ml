@@ -12,18 +12,20 @@
    The model-check suite demands that the explorer finds this: the
    freeze-vs-insert scenario over this module must produce a
    counterexample schedule, while [Flat_fset] passes the same
-   exploration. Atomics go through the shim so the checker can
-   schedule them. Fixed capacity: the scenario stays far below the
+   exploration. Slot words live in the same flat [Nb_atomic.Int_array]
+   block as [Flat_fset]'s and go through the shim, so the checker
+   schedules every slot load and CAS. Fixed capacity: the scenario stays far below the
    migration threshold, so no grow/compact machinery is needed. *)
 
 module Atomic = Nbhash_util.Nb_atomic
 module Fset_intf = Nbhash_fset.Fset_intf
 
+module Slots = Atomic.Int_array
+
 type t = {
-  slots : int Atomic.t array;
+  slots : Slots.t;  (* one flat block of slot words, as in [Flat_fset] *)
   mask : int;
   decided : bool Atomic.t;  (* freeze latch decided *)
-  sealed : int Atomic.t;  (* slots with the SEAL bit latched *)
 }
 
 type op = { kind : Fset_intf.kind; key : int; mutable resp : bool }
@@ -46,10 +48,9 @@ let cap = 8
 let create elems =
   let t =
     {
-      slots = Array.init cap (fun _ -> Atomic.make empty_w);
+      slots = Slots.make cap empty_w;
       mask = cap - 1;
       decided = Atomic.make false;
-      sealed = Atomic.make 0;
     }
   in
   Array.iter
@@ -57,8 +58,8 @@ let create elems =
       let home = mix k land t.mask in
       let rec go d =
         let idx = (home + d) land t.mask in
-        if Atomic.get t.slots.(idx) = empty_w then
-          Atomic.set t.slots.(idx) (enc k)
+        if Slots.get t.slots idx = empty_w then
+          Slots.set_private t.slots idx (enc k)
         else go (d + 1)
       in
       go 0)
@@ -71,11 +72,10 @@ let get_response op = op.resp
 let help_seal t =
   for idx = 0 to t.mask do
     let rec seal () =
-      let w = Atomic.get t.slots.(idx) in
+      let w = Slots.get t.slots idx in
       if w land seal_bit = 0 then
-        if Atomic.compare_and_set t.slots.(idx) w (w lor seal_bit) then
-          Atomic.incr t.sealed
-        else seal ()
+        if not (Slots.compare_and_set t.slots idx w (w lor seal_bit)) then
+          seal ()
     in
     seal ()
   done
@@ -83,7 +83,7 @@ let help_seal t =
 let sealed_elements t =
   let acc = ref [] in
   for idx = t.mask downto 0 do
-    let w = Atomic.get t.slots.(idx) in
+    let w = Slots.get t.slots idx in
     if is_occupied w then acc := dec w :: !acc
   done;
   Array.of_list !acc
@@ -101,7 +101,7 @@ let invoke t op =
       let idx = (home + d) land t.mask in
       at_word idx d
   and at_word idx d =
-    let w = Atomic.get t.slots.(idx) in
+    let w = Slots.get t.slots idx in
     match op.kind with
     | Fset_intf.Ins ->
       if w land lnot seal_bit = empty_w then begin
@@ -109,7 +109,7 @@ let invoke t op =
            [Flat_fset] CASes only against the exactly-zero unsealed
            word, which is its freeze re-check; claiming [w] as read
            installs a key into a slot the freeze already latched. *)
-        if Atomic.compare_and_set t.slots.(idx) w w_occ then begin
+        if Slots.compare_and_set t.slots idx w w_occ then begin
           op.resp <- true;
           true
         end
@@ -131,7 +131,7 @@ let invoke t op =
       else if w = empty_w lor seal_bit then on_sealed ()
       else if w lor seal_bit = w_occ lor seal_bit then begin
         if w land seal_bit = 0 then
-          if Atomic.compare_and_set t.slots.(idx) w_occ tomb_w then begin
+          if Slots.compare_and_set t.slots idx w_occ tomb_w then begin
             op.resp <- true;
             true
           end
@@ -155,7 +155,7 @@ let has_member t k =
     if d > t.mask then false
     else
       let idx = (home + d) land t.mask in
-      let w = Atomic.get t.slots.(idx) in
+      let w = Slots.get t.slots idx in
       if w land lnot seal_bit = empty_w then false
       else if w lor seal_bit = w_occ lor seal_bit then true
       else go (d + 1)
@@ -166,4 +166,9 @@ let size t = Array.length (sealed_elements t)
 let elements t = sealed_elements t
 
 let is_frozen t =
-  Atomic.get t.decided && Atomic.get t.sealed = t.mask + 1
+  Atomic.get t.decided
+  &&
+  let rec sealed idx =
+    idx > t.mask || (Slots.get t.slots idx land seal_bit <> 0 && sealed (idx + 1))
+  in
+  sealed 0

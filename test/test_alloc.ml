@@ -1,0 +1,116 @@
+(* Allocation budgets of the table hot paths, in minor-heap words
+   ([Gc.minor_words]), single domain, telemetry off. Lookups allocate
+   nothing: no closure per probe loop, no partial application per
+   call. Updates copy what they must (a copy-on-write bucket array,
+   a fresh flat node after a resize) and nothing per call beyond it.
+   The counts are deterministic; the update bounds sit ~3 words above
+   them, below what one per-call closure (4-5 words) would add. *)
+
+module T = Nbhash.Tables
+module F = Nbhash_fset.Flat_fset
+
+module type SET = Nbhash.Hashset_intf.S
+
+(* Average minor words per call of [f i] for i in [0, n), after a warm
+   up that takes any one-time allocation off the books. *)
+let words_per_call n f =
+  for i = 0 to 999 do
+    f i
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let contains_noalloc (module H : SET) () =
+  let t = H.create ~policy:(Nbhash.Policy.presized 1024) () in
+  let h = H.register t in
+  for k = 0 to 2047 do
+    ignore (H.insert h (2 * k))
+  done;
+  (* hits and misses alike: even keys are present, odd ones absent *)
+  let w =
+    words_per_call 100_000 (fun i ->
+        ignore (Sys.opaque_identity (H.contains h (i land 4095))))
+  in
+  Alcotest.(check (float 0.)) (H.name ^ " contains: minor words per call") 0. w
+
+let test_has_member_noalloc () =
+  let s = F.create (Array.init 10 (fun i -> 7 * i)) in
+  let w =
+    words_per_call 100_000 (fun i ->
+        ignore (Sys.opaque_identity (F.has_member s (i land 127))))
+  in
+  Alcotest.(check (float 0.)) "has_member: minor words per call" 0. w
+
+(* The freeze's only allocation is its result: [len + 1] words (none
+   when empty: [Array.make 0] returns the shared empty array). *)
+let test_freeze_allocates_result_only () =
+  List.iter
+    (fun len ->
+      let result_words = if len = 0 then 0. else float_of_int (len + 1) in
+      let s = F.create (Array.init len (fun i -> 3 * i)) in
+      let before = Gc.minor_words () in
+      let keys = F.freeze s in
+      let w = Gc.minor_words () -. before in
+      Alcotest.(check int) "all keys returned" len (Array.length keys);
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "freeze of %d keys: minor words" len)
+        result_words w;
+      (* a second freeze helps nothing and returns the same array *)
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (F.freeze s));
+      Alcotest.(check (float 0.)) "refreeze: minor words" result_words
+        (Gc.minor_words () -. before))
+    [ 0; 1; 5; 12 ]
+
+(* One flat block of slots per node: a 16-slot set is its root atomic
+   (2 words) plus a 34-word node (DESIGN.md System 17). *)
+let test_flat_node_words () =
+  let s = F.create (Array.init 8 (fun i -> i)) in
+  Alcotest.(check int) "capacity" 16 (F.capacity s);
+  Alcotest.(check int) "reachable words" 36 (Obj.reachable_words (Obj.repr s))
+
+(* Fill 2^14 keys from the default one-bucket table (every resize on
+   the way included), then drain them (every shrink included). *)
+let insert_budget (module H : SET) ~fill_bound ~drain_bound () =
+  let t = H.create () in
+  let h = H.register t in
+  let n = 1 lsl 14 in
+  let fill = words_per_call n (fun i -> ignore (H.insert h (i + 1000))) in
+  let drain = words_per_call n (fun i -> ignore (H.remove h (i + 1000))) in
+  if fill > fill_bound then
+    Alcotest.failf "%s insert: %.1f minor words per call, bound %.0f" H.name
+      fill fill_bound;
+  if drain > drain_bound then
+    Alcotest.failf "%s remove: %.1f minor words per call, bound %.0f" H.name
+      drain drain_bound
+
+let suite =
+  [
+    ( "alloc",
+      [
+        Alcotest.test_case "LFArray contains allocates nothing" `Quick
+          (contains_noalloc (module T.LFArray));
+        Alcotest.test_case "LFArrayOpt contains allocates nothing" `Quick
+          (contains_noalloc (module T.LFArrayOpt));
+        Alcotest.test_case "LFFlat contains allocates nothing" `Quick
+          (contains_noalloc (module T.LFFlat));
+        Alcotest.test_case "WFArray contains allocates nothing" `Quick
+          (contains_noalloc (module T.WFArray));
+        Alcotest.test_case "AdaptiveOpt contains allocates nothing" `Quick
+          (contains_noalloc (module T.AdaptiveOpt));
+        Alcotest.test_case "Flat_fset has_member allocates nothing" `Quick
+          test_has_member_noalloc;
+        Alcotest.test_case "Flat_fset freeze allocates only its result"
+          `Quick test_freeze_allocates_result_only;
+        Alcotest.test_case "Flat_fset node is one slot block" `Quick
+          test_flat_node_words;
+        Alcotest.test_case "LFArrayOpt insert/remove word budget" `Quick
+          (insert_budget (module T.LFArrayOpt) ~fill_bound:16.
+             ~drain_bound:12.);
+        Alcotest.test_case "LFFlat insert/remove word budget" `Quick
+          (insert_budget (module T.LFFlat) ~fill_bound:40. ~drain_bound:18.);
+      ] );
+  ]

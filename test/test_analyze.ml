@@ -39,6 +39,18 @@ let check_fires fixture rule () =
        (String.concat ", " rules))
     true (List.mem rule rules)
 
+(* Both discarded slot CASes of the fixture are reported, one per line:
+   the 4-argument [Int_array.compare_and_set] counts as a CAS. *)
+let test_slot_cas_lines () =
+  let lines =
+    List.filter (in_file "fix_cas_ignored_slots.ml") (Lazy.force violations)
+    |> List.filter (fun (v : Analyze_rules.violation) ->
+           v.rule = Analyze_rules.rule_ignored)
+    |> List.map (fun (v : Analyze_rules.violation) -> v.line)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list int)) "cas-ignored lines" [ 7; 10 ] lines
+
 let test_clean () =
   let vs = List.filter (in_file "fix_clean.ml") (Lazy.force violations) in
   Alcotest.(check int) "fix_clean.ml reports nothing" 0 (List.length vs)
@@ -78,6 +90,8 @@ let suite =
           (check_fires "fix_cas_rmw.ml" "cas-rmw");
         Alcotest.test_case "discarded CAS -> cas-ignored" `Quick
           (check_fires "fix_cas_ignored.ml" "cas-ignored");
+        Alcotest.test_case "discarded Int_array CAS -> cas-ignored" `Quick
+          test_slot_cas_lines;
         Alcotest.test_case "Mutex -> blocking-call" `Quick
           (check_fires "fix_blocking.ml" "blocking-call");
         Alcotest.test_case "Obj.magic -> obj-magic" `Quick

@@ -118,6 +118,49 @@ let quiescent_wf_hashmap () =
   Alcotest.(check int) "Wf_hashmap: no pending slots" 0
     v.Nbhash.Hashset_intf.announce_pending
 
+(* The maps' constant-time [migrating] flag (what [Backend.drain]
+   polls) agrees with [inspect]'s census through a forced window:
+   open after [force_resize], closed once updates have swept it. *)
+let map_migrating_flag () =
+  let check what ~flag ~census expect =
+    Alcotest.(check bool) (what ^ ": migrating") expect flag;
+    Alcotest.(check bool) (what ^ ": agrees with inspect") census flag
+  in
+  let module M = Nbhash.Hashmap in
+  let m = M.create () in
+  let h = M.register m in
+  for k = 0 to 255 do
+    ignore (M.put h k k)
+  done;
+  M.force_resize h ~grow:true;
+  check "Hashmap window" ~flag:(M.migrating m)
+    ~census:(M.inspect m).V.migrating true;
+  let budget = ref 100_000 in
+  while M.migrating m && !budget > 0 do
+    ignore (M.put h 1_000_000 0);
+    ignore (M.remove h 1_000_000);
+    decr budget
+  done;
+  check "Hashmap drained" ~flag:(M.migrating m)
+    ~census:(M.inspect m).V.migrating false;
+  let module W = Nbhash.Wf_hashmap in
+  let w = W.create () in
+  let hw = W.register w in
+  for k = 0 to 255 do
+    ignore (W.put hw k k)
+  done;
+  W.force_resize hw ~grow:true;
+  check "Wf_hashmap window" ~flag:(W.migrating w)
+    ~census:(W.inspect w).V.migrating true;
+  let budget = ref 100_000 in
+  while W.migrating w && !budget > 0 do
+    ignore (W.put hw 1_000_000 0);
+    ignore (W.remove hw 1_000_000);
+    decr budget
+  done;
+  check "Wf_hashmap drained" ~flag:(W.migrating w)
+    ~census:(W.inspect w).V.migrating false
+
 let suite =
   [
     ( "inspect",
@@ -141,5 +184,7 @@ let suite =
             quiescent_hashmap;
           Alcotest.test_case "quiescent census Wf_hashmap" `Quick
             quiescent_wf_hashmap;
+          Alcotest.test_case "map migrating flag tracks the window" `Quick
+            map_migrating_flag;
         ] );
   ]

@@ -21,8 +21,10 @@
                      pair on the same location inside one top-level
                      binding (ABA-prone; use [compare_and_set] or
                      attribute with [@nbhash.cas_ok "reason"])
-     cas-ignored     a [compare_and_set] whose result is discarded
-                     ([ignore ...] or [let _ = ...]) with no retry
+     cas-ignored     a [compare_and_set] (on a cell, or the 4-argument
+                     one on a slot of the shim's [Int_array]) whose
+                     result is discarded ([ignore ...] or
+                     [let _ = ...]) with no retry
      blocking-call   [Mutex] / [Condition] / [Semaphore] in a
                      nonblocking library
      obj-magic       [Obj.magic]
@@ -574,11 +576,16 @@ let check_unit ~shared ~flagged_fields ~allowed_fields (u : facts) ~viol =
   let positional args =
     List.filter_map (function Asttypes.Nolabel, Some a -> Some a | _ -> None) args
   in
+  (* A full CAS application: [compare_and_set cell old new] on an
+     atomic cell, or [compare_and_set array index old new] on the
+     shim's flat [Int_array]. *)
   let is_cas_apply (e : expression) =
     match e.exp_desc with
     | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
         match atomic_op (norm p) with
-        | Some "compare_and_set" -> List.length (positional args) = 3
+        | Some "compare_and_set" ->
+            let n = List.length (positional args) in
+            n = 3 || n = 4
         | _ -> false)
     | _ -> false
   in
