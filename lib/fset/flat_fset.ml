@@ -7,7 +7,8 @@
    full-slot reads. This is the cache-friendly bucket layout of
    Gao-Groote-Hesselink's open addressing table and the "folklore"
    flat table of Maier et al., wearing the paper's freeze protocol so
-   it plugs into Table_core's grow/shrink machinery unchanged.
+   it plugs into the tables' grow/shrink machinery unchanged (as an
+   FSet object, through Table_core.Fset_slot).
 
    Layout of one generation (node) of capacity c, in words with
    headers: the node record (7), the slot block (c + 1), the tag bytes
@@ -99,7 +100,7 @@ let check_key k =
   if k < 0 || k asr 61 <> 0 then
     invalid_arg "Flat_fset: key out of [0, 2^61)"
 
-(* Table_core routes key [k] to bucket [k land table_mask], so keys
+(* The tables route key [k] to bucket [k land table_mask], so keys
    arriving in one bucket share their low bits; the probe home must
    come from mixed high entropy or every key would probe from slot
    0. One multiply + xor-shift of a SplitMix-style odd constant

@@ -14,8 +14,9 @@ let pp_kind ppf = function
   | Ins -> Format.pp_print_string ppf "ins"
   | Rem -> Format.pp_print_string ppf "rem"
 
-(** Operations common to every FSet implementation; the hash-table
-    scaffolding ({!Nbhash.Table_core}) is a functor over this. *)
+(** Operations common to every FSet implementation; the tables over
+    FSet objects hold them in their buckets through
+    [Nbhash.Table_core.Fset_slot], a functor over this. *)
 module type CORE = sig
   type t
 

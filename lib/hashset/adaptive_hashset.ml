@@ -44,9 +44,14 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
       if failures >= t.fast_threshold then None
       else begin
         let hn = Atomic.get t.w.W.core.W.Core.head in
-        let b = W.Core.bucket_for hn k in
-        if F.invoke b op then Some (F.get_response op)
-        else attempt (failures + 1)
+        let i = k land hn.W.Core.mask in
+        match Atomic.get hn.W.Core.buckets.(i) with
+        | None ->
+          W.Core.init_bucket hn i;
+          attempt failures
+        | Some b ->
+          if F.invoke b op then Some (F.get_response op)
+          else attempt (failures + 1)
       end
     in
     attempt 0
@@ -77,7 +82,7 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
 
   let contains h k =
     Hashset_intf.check_key k;
-    W.Core.contains h.t.w.W.core k
+    W.contains h.t.w k
 
   let bucket_count t = W.Core.bucket_count t.w.W.core
   let resize_stats t = W.Core.resize_stats t.w.W.core
@@ -88,8 +93,7 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
   let check_invariants t = W.Core.check_invariants t.w.W.core
 
   let inspect t =
-    W.Core.inspect_with t.w.W.core
-      ~announce_pending:(Array.length (W.announced t.w))
+    W.Core.inspect t.w.W.core ~announce_pending:(Array.length (W.announced t.w))
 
   let pending_ops t = W.announced t.w
 end

@@ -1,46 +1,148 @@
-(** The HNode scaffolding shared by the lock-free and wait-free hash
-    sets (Figure 2 of the paper, minus APPLY): the versioned bucket
-    array, lazy bucket initialization by freeze-and-migrate
+(** The HNode scaffolding shared by every resizable table in the
+    repository (Figure 2 of the paper, minus APPLY): the versioned
+    bucket array, lazy bucket initialization by freeze-and-migrate
     ([init_bucket], lines 38-51), the RESIZE operation (lines 19-28),
-    and CONTAINS (lines 11-18).
+    the cooperative migration sweep (DESIGN.md System 12), the policy
+    triggers, the Figure 3 refinement-mapping views and the structural
+    invariant checker.
 
     A table is a list of HNodes of length at most two: [head] and, while
     a resize is being absorbed, [head]'s predecessor. Bucket [i] of the
-    head starts out nil and is initialized on first touch by freezing
-    the corresponding predecessor bucket(s) and copying the split
-    (grow) or merged (shrink) keys. Freezing first is what lets keys
-    move without loss or duplication: the frozen buckets remain the
-    logical truth (the refinement mapping of Figure 3) until the new
-    bucket is installed by CAS, an abstract-state-preserving step. *)
+    head starts out uninitialized and is initialized on first touch by
+    freezing the corresponding predecessor bucket(s) and copying the
+    split (grow) or merged (shrink) entries. Freezing first is what lets
+    entries move without loss or duplication: the frozen buckets remain
+    the logical truth (the refinement mapping of Figure 3) until the
+    new bucket is installed by CAS, an abstract-state-preserving
+    step.
+
+    The variants differ only in what a bucket atomic holds — an FSet
+    object, a flattened copy-on-write node, a wait-free node with its
+    operation slot, with integer keys, pairs or generic keys — which is
+    the {!SLOT} signature below. Each variant keeps its slot protocol
+    and its per-operation hot path; the hot paths read the [hnode]
+    fields directly, because a call through a functor argument is an
+    indirect call that ocamlopt without flambda cannot inline. *)
 
 module Atomic = Nbhash_util.Nb_atomic
 
-module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
+(** What one bucket atomic holds. Polymorphic in the value type ['v]
+    of the maps; the sets ignore it. *)
+module type SLOT = sig
+  type 'v elt
+  (** One bucket entry: a key, or a (key, value) binding. *)
+
+  type 'v slot
+  (** The value stored directly in a bucket atomic. *)
+
+  type side
+  (** Per-HNode side state, built with the HNode: the freeze-intent
+      flags of the flattened wait-free slots, [unit] elsewhere. *)
+
+  val uninit : 'v slot
+  (** The nil bucket. Must be an immediate (a constant constructor or
+      [None]): the core recognises it by physical equality. *)
+
+  val fresh : 'v elt array -> 'v slot
+  (** A mutable, unfrozen slot holding the given entries (pairwise
+      distinct keys; the array is not mutated afterwards). *)
+
+  val make_side : int -> side
+  (** [make_side size] for an HNode of [size] buckets. *)
+
+  val freeze : side -> 'v slot Atomic.t array -> int -> 'v elt array
+  (** FREEZE bucket [j] of a predecessor HNode (never uninitialized)
+      and return its final entries. Idempotent. *)
+
+  val split : 'v elt array -> mask:int -> target:int -> 'v elt array
+  (** The entries whose key hash satisfies [hash land mask = target]
+      (the grow half of bucket initialization). *)
+
+  val merge : 'v elt array -> 'v elt array -> 'v elt array
+  (** Union of two key-disjoint entry arrays (the shrink case). *)
+
+  val size : 'v slot -> int
+  (** Entry count of an initialized slot, for the resize triggers. *)
+
+  val contents : 'v slot -> 'v elt array
+  (** Logical entries of an initialized slot, including the effect of
+      a linearized but unfinished operation. *)
+
+  val is_frozen : 'v slot -> bool
+
+  val hash : 'v elt -> int
+  (** Non-negative key hash; bucket [i] of an HNode of mask [m] holds
+      exactly the entries with [hash e land m = i]. *)
+
+  val same_key : 'v elt -> 'v elt -> bool
+end
+
+(** The entry operations of the integer-keyed sets, for [include] in
+    their slot modules: the key is its own hash. *)
+module Int_keys = struct
+  type 'v elt = int
+
+  let split = Nbhash_fset.Intset.filter_mask
+  let merge = Nbhash_fset.Intset.disjoint_union
+  let hash k = k
+  let same_key = Int.equal
+end
+
+(** The slots of the tables over FSet objects (LFArray, LFFlat,
+    WFArray, Adaptive, ...): an initialized bucket holds [Some fset]. *)
+module Fset_slot (F : Nbhash_fset.Fset_intf.CORE) = struct
+  include Int_keys
+
+  type 'v slot = F.t option
+  type side = unit
+
+  let uninit = None
+  let fresh elems = Some (F.create elems)
+  let make_side _ = ()
+  let get = function Some b -> b | None -> assert false
+  let freeze () buckets j = F.freeze (get (Atomic.get buckets.(j)))
+  let size s = F.size (get s)
+  let contents s = F.elements (get s)
+  let is_frozen s = F.is_frozen (get s)
+end
+
+module Make (S : SLOT) = struct
   module Tm = Nbhash_telemetry.Global
   module Ev = Nbhash_telemetry.Event
 
-  type hnode = {
-    buckets : F.t option Atomic.t array;
+  type 'v hnode = {
+    buckets : 'v S.slot Atomic.t array;
+    side : S.side;
     size : int;
     mask : int;
-    pred : hnode option Atomic.t;
+    pred : 'v hnode option Atomic.t;
     sweep : Sweep.t;
         (* chunk cursor for the cooperative migration of THIS HNode's
            buckets out of [pred]; unused (and never claimed from) on
            HNodes created without a predecessor *)
   }
 
-  type t = {
-    head : hnode Atomic.t;
+  type 'v t = {
+    head : 'v hnode Atomic.t;
     policy : Policy.t;
     count : Policy.Counter.shared;  (* approximate, for Load_factor *)
     grows : int Atomic.t;
     shrinks : int Atomic.t;
+    handles : int Atomic.t;  (* registrations so far *)
+  }
+
+  type 'v handle = {
+    table : 'v t;
+    tid : int;
+        (* registration ordinal: the announce slot of the wait-free
+           tables, and the seed of the trigger's sampling PRNG *)
+    local : Policy.Trigger.local;
   }
 
   let make_hnode ~size ~pred =
     {
-      buckets = Array.init size (fun _ -> Atomic.make None);
+      buckets = Array.init size (fun _ -> Atomic.make S.uninit);
+      side = S.make_side size;
       size;
       mask = size - 1;
       pred = Atomic.make pred;
@@ -48,81 +150,90 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
     }
 
   (* Unlike the paper's one-bucket initial table, a fresh table may be
-     presized; every bucket of a pred-less HNode must be non-nil
+     presized; every bucket of a pred-less HNode must be initialized
      (Invariant 11), so initialize them all. *)
   let create policy =
     Policy.validate policy;
     let hn = make_hnode ~size:policy.Policy.init_buckets ~pred:None in
-    Array.iter (fun b -> Atomic.set b (Some (F.create [||]))) hn.buckets;
+    Array.iter (fun b -> Atomic.set b (S.fresh [||])) hn.buckets;
     {
       head = Atomic.make hn;
       policy;
       count = Policy.Counter.make_shared ();
       grows = Atomic.make 0;
       shrinks = Atomic.make 0;
+      handles = Atomic.make 0;
     }
 
-  (* Predecessor buckets are never nil (Invariant 12: a resize
-     initializes every bucket before publishing the new HNode). *)
-  let pred_bucket s j =
-    match Atomic.get s.buckets.(j) with
-    | Some b -> b
-    | None -> assert false
+  let register table =
+    let tid = Atomic.fetch_and_add table.handles 1 in
+    {
+      table;
+      tid;
+      local = Policy.Trigger.make_local table.count ~seed:(0x5eed + tid);
+    }
+
+  let unregister h = Policy.Trigger.flush h.local
 
   (* Initialize bucket [i] of [hn] from its predecessor bucket(s):
-     freeze them, then split or merge their keys. The CAS publishes
+     freeze them, then split or merge their entries. The CAS publishes
      the new bucket; losing the race to a helping thread is fine — the
-     final re-read returns whoever won. *)
+     bucket is initialized either way. A no-op on an initialized
+     bucket, and on a pred-less HNode (whose buckets are all
+     initialized, Invariant 11). *)
   let init_bucket hn i =
-    (match (Atomic.get hn.buckets.(i), Atomic.get hn.pred) with
-    | None, Some s ->
-      let elems =
-        if hn.size = s.size * 2 then
-          let m = pred_bucket s (i land s.mask) in
-          Nbhash_fset.Intset.filter_mask (F.freeze m) ~mask:hn.mask ~target:i
-        else begin
-          let m = pred_bucket s i in
-          let n = pred_bucket s (i + hn.size) in
-          Nbhash_fset.Intset.disjoint_union (F.freeze m) (F.freeze n)
+    if Atomic.get hn.buckets.(i) == S.uninit then
+      match Atomic.get hn.pred with
+      | None -> ()
+      | Some s ->
+        let elems =
+          if hn.size = s.size * 2 then
+            S.split
+              (S.freeze s.side s.buckets (i land s.mask))
+              ~mask:hn.mask ~target:i
+          else
+            S.merge
+              (S.freeze s.side s.buckets i)
+              (S.freeze s.side s.buckets (i + hn.size))
+        in
+        if Atomic.compare_and_set hn.buckets.(i) S.uninit (S.fresh elems)
+        then begin
+          (* Only the installing thread accounts the migration, so the
+             keys_migrated total equals the table cardinality after one
+             full migration even when helpers race. *)
+          Tm.emit_arg Ev.Bucket_init i;
+          Tm.add Ev.Keys_migrated (Array.length elems)
         end
-      in
-      if Atomic.compare_and_set hn.buckets.(i) None (Some (F.create elems))
-      then begin
-        (* Only the installing thread accounts the migration, so the
-           keys_migrated total equals the table cardinality after one
-           full migration even when helpers race. *)
-        Tm.emit_arg Ev.Bucket_init i;
-        Tm.add Ev.Keys_migrated (Array.length elems)
-      end
-    | (Some _ | None), _ -> ());
-    match Atomic.get hn.buckets.(i) with
-    | Some b -> b
-    | None ->
-      (* buckets.(i) = nil together with pred = nil cannot happen
-         (Invariant 11): pred is cleared only after every bucket is
-         initialized, and buckets never return to nil. *)
-      assert false
 
-  (* Locate (initializing if needed) the bucket of [hn] that owns key
-     [k]. *)
-  let bucket_for hn k =
-    let i = k land hn.mask in
-    match Atomic.get hn.buckets.(i) with
-    | Some b -> b
-    | None -> init_bucket hn i
+  (* The slot that answers a lookup of hash [h] whose head bucket was
+     uninitialized: the predecessor's bucket, or — if the predecessor
+     vanished meanwhile — the head bucket, which must then be
+     initialized (CONTAINS, lines 14-17). Predecessor buckets are
+     never uninitialized (Invariant 12: a resize initializes every
+     bucket before publishing the new HNode). *)
+  let lookup_slot hn h =
+    Tm.emit_arg Ev.Contains_pred h;
+    match Atomic.get hn.pred with
+    | Some s -> Atomic.get s.buckets.(h land s.mask)
+    | None -> Atomic.get hn.buckets.(h land hn.mask)
 
   (* Cooperative sweep plumbing: migrating bucket [i] is exactly the
      idempotent lazy step, and completing the sweep discharges
      Invariant 11's condition for cutting the predecessor loose
      early. *)
-  let sweep_migrate hn i = ignore (init_bucket hn i)
-  let sweep_complete hn = Atomic.set hn.pred None
+  let sweep_migrate hn i = init_bucket hn i
+
+  let sweep_complete hn =
+    Atomic.set hn.pred None
+    [@nbhash.cas_ok
+      "one-way Some -> None: every writer publishes the same final value \
+       once the sweep is complete"]
 
   (* One helping step on the way through a migrating table: claim (at
-     most) one chunk of nil buckets of the head and migrate it. Called
-     from the update-path policy hooks, so every active writer chips
-     in instead of leaving the whole rehash to whoever faults on a nil
-     bucket. *)
+     most) one chunk of uninitialized buckets of the head and migrate
+     it. Called from the update-path policy hooks, so every active
+     writer chips in instead of leaving the whole rehash to whoever
+     faults on a nil bucket. *)
   let help_migration t hn =
     let m = t.policy.Policy.migration in
     if m.Policy.eager && Atomic.get hn.pred <> None then
@@ -152,13 +263,10 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
         Sweep.drain hn.sweep ~chunk:m.Policy.chunk
           ~migrate:sweep_migrate ~complete:sweep_complete hn;
       for i = 0 to hn.size - 1 do
-        ignore (init_bucket hn i)
+        init_bucket hn i
       done;
       if m.Policy.eager then Sweep.finish hn.sweep;
-      Atomic.set hn.pred None
-      [@nbhash.cas_ok
-      "one-way Some -> None: every writer publishes the same final value \
-       once the sweep is complete"];
+      sweep_complete hn;
       let size = if grow then hn.size * 2 else hn.size / 2 in
       let hn' = make_hnode ~size ~pred:(Some hn) in
       if Atomic.compare_and_set t.head hn hn' then begin
@@ -174,26 +282,7 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
         Tm.span_abort Ev.Resize_span
     end
 
-  (* CONTAINS: search the head bucket; if it is uninitialized, search
-     through the predecessor instead — unless the predecessor vanished
-     meanwhile, in which case the head bucket must have been
-     initialized and is re-read (lines 14-17). *)
-  let contains t k =
-    let hn = Atomic.get t.head in
-    match Atomic.get hn.buckets.(k land hn.mask) with
-    | Some b -> F.has_member b k
-    | None ->
-      Tm.emit_arg Ev.Contains_pred k;
-      let b =
-        match Atomic.get hn.pred with
-        | Some s -> pred_bucket s (k land s.mask)
-        | None -> (
-          match Atomic.get hn.buckets.(k land hn.mask) with
-          | Some b -> b
-          | None -> assert false)
-      in
-      F.has_member b k
-
+  let force_resize h ~grow = resize h.table grow
   let bucket_count t = (Atomic.get t.head).size
 
   let resize_stats t =
@@ -202,14 +291,20 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
       shrinks = Atomic.get t.shrinks;
     }
 
+  (* A resize is still being absorbed: the head HNode has a
+     predecessor. One load per HNode, unlike [inspect]'s census. *)
+  let migrating t = Atomic.get (Atomic.get t.head).pred <> None
+
   (* Current size of bucket [i] of [hn]; uninitialized buckets report 0
      (forcing their migration just to measure them would defeat
      laziness). *)
   let bucket_size_at hn i =
-    match Atomic.get hn.buckets.(i) with None -> 0 | Some b -> F.size b
+    let b = Atomic.get hn.buckets.(i) in
+    if b == S.uninit then 0 else S.size b
 
-  (* Policy plumbing shared by the table implementations built on this
-     core. *)
+  (* Policy plumbing run after every update: count the change, help
+     the sweep, and fire a resize when the trigger asks for one. [key]
+     is the updated key's hash. *)
   let after_insert t local ~key ~resp =
     Policy.Trigger.note_insert local ~resp;
     let hn = Atomic.get t.head in
@@ -236,32 +331,24 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
     then resize t false
 
   (* The refinement mapping of Figure 3, reified: BuckSet(t, i) is the
-     bucket's own elements when initialized, and the split/merge of
-     the predecessor's elements otherwise. Exact in quiescent
+     bucket's own entries when initialized, and the split/merge of
+     the predecessor's entries otherwise. Exact in quiescent
      states. *)
   let bucket_set hn i =
-    match Atomic.get hn.buckets.(i) with
-    | Some b -> F.elements b
-    | None -> (
+    let b = Atomic.get hn.buckets.(i) in
+    if b != S.uninit then S.contents b
+    else
       match Atomic.get hn.pred with
       | Some s ->
+        let pred j = S.contents (Atomic.get s.buckets.(j)) in
         if hn.size = s.size * 2 then
-          Nbhash_fset.Intset.filter_mask
-            (F.elements (pred_bucket s (i land s.mask)))
-            ~mask:hn.mask ~target:i
-        else
-          Nbhash_fset.Intset.disjoint_union
-            (F.elements (pred_bucket s i))
-            (F.elements (pred_bucket s (i + hn.size)))
-      | None -> (
-        match Atomic.get hn.buckets.(i) with
-        | Some b -> F.elements b
-        | None -> assert false))
+          S.split (pred (i land s.mask)) ~mask:hn.mask ~target:i
+        else S.merge (pred i) (pred (i + hn.size))
+      | None -> S.contents (Atomic.get hn.buckets.(i))
 
   let elements t =
     let hn = Atomic.get t.head in
-    let parts = List.init hn.size (bucket_set hn) in
-    Array.concat parts
+    Array.concat (List.init hn.size (bucket_set hn))
 
   let bucket_sizes t =
     let hn = Atomic.get t.head in
@@ -269,36 +356,32 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
 
   let cardinal t = Array.length (elements t)
 
-  (* Structural health snapshot. [frozen_buckets] counts frozen
-     fsets reachable from the head and its predecessor; the head's own
+  (* The lock-free tables announce nothing: an always-empty watchdog
+     source (see Hashset_intf.S.pending_ops). *)
+  let pending_ops (_ : 'v t) : (int * int) array = [||]
+
+  (* Structural health snapshot. [frozen_buckets] counts frozen slots
+     reachable from the head and its predecessor; the head's own
      buckets are never frozen (only predecessors freeze), so a
      quiescent table reports 0. [migration_progress] is the fraction
      of head buckets already initialized — the same quantity the
      resizer's index loop drives to 1. Racy but safe under concurrent
      updates. *)
-  let inspect_with t ~announce_pending =
+  let inspect t ~announce_pending =
     let hn = Atomic.get t.head in
     let sizes = Array.init hn.size (fun i -> Array.length (bucket_set hn i)) in
     let initialized = ref 0 in
     let frozen = ref 0 in
-    Array.iter
-      (fun b ->
-        match Atomic.get b with
-        | Some b ->
-          incr initialized;
-          if F.is_frozen b then incr frozen
-        | None -> ())
-      hn.buckets;
+    let scan ~head b =
+      let s = Atomic.get b in
+      if s != S.uninit then begin
+        if head then incr initialized;
+        if S.is_frozen s then incr frozen
+      end
+    in
+    Array.iter (scan ~head:true) hn.buckets;
     let pred = Atomic.get hn.pred in
-    (match pred with
-    | Some s ->
-      Array.iter
-        (fun b ->
-          match Atomic.get b with
-          | Some b -> if F.is_frozen b then incr frozen
-          | None -> ())
-        s.buckets
-    | None -> ());
+    Option.iter (fun s -> Array.iter (scan ~head:false) s.buckets) pred;
     let migrating = pred <> None in
     Hashset_intf.make_view ~sizes ~frozen_buckets:!frozen ~migrating
       ~migration_progress:
@@ -308,53 +391,54 @@ module Make (F : Nbhash_fset.Fset_intf.CORE) = struct
 
   let fail fmt = Format.kasprintf failwith fmt
 
-  (* Structural sanity for quiescent states: key placement, the
-     nil-bucket invariants (11 and 12), frozen-predecessor invariant
-     (13), and duplicate freedom across the whole table. *)
+  (* Structural sanity for quiescent states: entry placement, the
+     nil-bucket invariants (11 and 12), the frozen-predecessor
+     invariant (13), and duplicate freedom across the whole table. *)
   let check_invariants t =
     let hn = Atomic.get t.head in
     let pred = Atomic.get hn.pred in
+    let uninit b = Atomic.get b == S.uninit in
     (match pred with
     | Some s ->
       if hn.size <> s.size * 2 && hn.size * 2 <> s.size then
         fail "head size %d not double or half of pred size %d" hn.size s.size;
       Array.iteri
-        (fun j b ->
-          if Atomic.get b = None then fail "pred bucket %d is nil" j)
+        (fun j b -> if uninit b then fail "pred bucket %d is nil" j)
         s.buckets
     | None ->
       Array.iteri
         (fun i b ->
-          if Atomic.get b = None then
+          if uninit b then
             fail "bucket %d nil in a table without predecessor" i)
         hn.buckets);
+    let frozen s j = S.is_frozen (Atomic.get s.buckets.(j)) in
     Array.iteri
       (fun i b ->
-        match Atomic.get b with
-        | None -> ()
-        | Some b ->
+        let slot = Atomic.get b in
+        if slot != S.uninit then begin
           Array.iter
-            (fun k ->
-              if k land hn.mask <> i then
-                fail "key %d misplaced in bucket %d of %d" k i hn.size)
-            (F.elements b);
-          (match pred with
+            (fun e ->
+              if S.hash e land hn.mask <> i then
+                fail "key hashed to %d misplaced in bucket %d of %d"
+                  (S.hash e) i hn.size)
+            (S.contents slot);
+          match pred with
           | Some s when hn.size = s.size * 2 ->
-            if not (F.is_frozen (pred_bucket s (i land s.mask))) then
+            if not (frozen s (i land s.mask)) then
               fail "predecessor of initialized bucket %d is not frozen" i
           | Some s ->
-            if
-              not
-                (F.is_frozen (pred_bucket s i)
-                && F.is_frozen (pred_bucket s (i + hn.size)))
-            then fail "predecessors of initialized bucket %d are not frozen" i
-          | None -> ()))
+            if not (frozen s i && frozen s (i + hn.size)) then
+              fail "predecessors of initialized bucket %d are not frozen" i
+          | None -> ()
+        end)
       hn.buckets;
     let all = elements t in
     let seen = Hashtbl.create (Array.length all) in
     Array.iter
-      (fun k ->
-        if Hashtbl.mem seen k then fail "duplicate key %d in abstract set" k;
-        Hashtbl.add seen k ())
+      (fun e ->
+        let h = S.hash e in
+        if List.exists (S.same_key e) (Hashtbl.find_all seen h) then
+          fail "duplicate key hashed to %d in abstract set" h;
+        Hashtbl.add seen h e)
       all
 end

@@ -12,15 +12,15 @@
 module Atomic = Nbhash_util.Nb_atomic
 
 module Make (F : Nbhash_fset.Fset_intf.WF) = struct
-  module Core = Table_core.Make (F)
+  module Slot = Table_core.Fset_slot (F)
+  module Core = Table_core.Make (Slot)
   module Tm = Nbhash_telemetry.Global
   module Ev = Nbhash_telemetry.Event
 
   type t = {
-    core : Core.t;
+    core : unit Core.t;
     slots : F.op Atomic.t array;
     counter : int Atomic.t;
-    next_tid : int Atomic.t;
     announce_writes : int array;
         (* per-slot announce counts: each slot has one writer (its
            tid), so plain increments are exact; the profiler samples
@@ -48,7 +48,6 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
       core = Core.create policy;
       slots = Array.init max_threads (fun _ -> Atomic.make (inert_op ()));
       counter = Atomic.make 0;
-      next_tid = Atomic.make 0;
       announce_writes;
       announce_src =
         Nbhash_telemetry.Profile.register_source ~name:"wf_announce"
@@ -56,17 +55,10 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
     }
 
   let register table =
-    let tid = Atomic.fetch_and_add table.next_tid 1 in
+    let { Core.tid; local; _ } = Core.register table.core in
     if tid >= Array.length table.slots then
       failwith "register: max_threads handles already registered";
-    {
-      table;
-      tid;
-      local =
-        Policy.Trigger.make_local table.core.Core.count ~seed:(0x5eed + tid);
-      ops = 0;
-      slow_entries = 0;
-    }
+    { table; tid; local; ops = 0; slow_entries = 0 }
 
   (* The announce slot stays inert after teardown (its op priority is
      infinity), so only the counter deltas need releasing. The tid is
@@ -82,9 +74,12 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
     let continue = ref (not (F.op_is_done op)) in
     while !continue do
       let hn = Atomic.get t.core.Core.head in
-      let b = Core.bucket_for hn (F.op_key op) in
-      if F.invoke b op then continue := false
-      else continue := not (F.op_is_done op)
+      let i = F.op_key op land hn.Core.mask in
+      match Atomic.get hn.Core.buckets.(i) with
+      | None -> Core.init_bucket hn i
+      | Some b ->
+        if F.invoke b op then continue := false
+        else continue := not (F.op_is_done op)
     done
 
   (* The helping scan of Figure 4 (lines 56-64): complete every
@@ -151,6 +146,14 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
         out := (tid, p) :: !out
     done;
     Array.of_list !out
+
+  (* CONTAINS (lines 11-18), as in the lock-free table: membership
+     needs no announcement. *)
+  let contains t k =
+    let hn = Atomic.get t.core.Core.head in
+    match Atomic.get hn.Core.buckets.(k land hn.Core.mask) with
+    | Some b -> F.has_member b k
+    | None -> F.has_member (Slot.get (Core.lookup_slot hn k)) k
 
   (* Policy triggers, identical in shape to the lock-free table's.
      These hooks also run the cooperative migration sweep (DESIGN.md

@@ -32,7 +32,7 @@ module Make (F : Nbhash_fset.Fset_intf.WF) : Hashset_intf.S = struct
 
   let contains h k =
     Hashset_intf.check_key k;
-    W.Core.contains h.W.table.W.core k
+    W.contains h.W.table k
 
   let bucket_count t = W.Core.bucket_count t.W.core
   let resize_stats t = W.Core.resize_stats t.W.core
@@ -43,8 +43,7 @@ module Make (F : Nbhash_fset.Fset_intf.WF) : Hashset_intf.S = struct
   let check_invariants t = W.Core.check_invariants t.W.core
 
   let inspect t =
-    W.Core.inspect_with t.W.core
-      ~announce_pending:(Array.length (W.announced t))
+    W.Core.inspect t.W.core ~announce_pending:(Array.length (W.announced t))
 
   let pending_ops = W.announced
 end

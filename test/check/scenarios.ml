@@ -381,6 +381,13 @@ module WFArray = Table_races (Nbhash.Tables.WFArray)
 module LFFlat = Table_races (Nbhash.Tables.LFFlat)
 module LFArray_sweep = Sweep_races (Nbhash.Tables.LFArray)
 module WFArray_sweep = Sweep_races (Nbhash.Tables.WFArray)
+
+(* The flattened slot protocols of section 8, whose bucket atomics
+   hold the FSet node itself rather than an FSet object. *)
+module LFArrayOpt = Table_races (Nbhash.Tables.LFArrayOpt)
+module AdaptiveOpt = Table_races (Nbhash.Tables.AdaptiveOpt)
+module LFArrayOpt_sweep = Sweep_races (Nbhash.Tables.LFArrayOpt)
+module AdaptiveOpt_sweep = Sweep_races (Nbhash.Tables.AdaptiveOpt)
 module Broken = Freeze_vs_update (Broken_fset)
 module Broken_flat = Freeze_vs_update (Broken_flat_fset)
 
@@ -410,6 +417,18 @@ let all : (string * Explore.scenario) list =
     ("lfarray sweep vs grow-shrink", LFArray_sweep.sweep_vs_grow_shrink);
     ("wfarray sweep helper vs lazy init", WFArray_sweep.helper_vs_lazy);
     ("wfarray sweep vs grow-shrink", WFArray_sweep.sweep_vs_grow_shrink);
+    ("lfarrayopt grow during insert", LFArrayOpt.grow_during_insert);
+    ("lfarrayopt shrink during contains", LFArrayOpt.shrink_during_contains);
+    ("lfarrayopt grow vs grow", LFArrayOpt.grow_vs_grow);
+    ("lfarrayopt sweep helper vs lazy init", LFArrayOpt_sweep.helper_vs_lazy);
+    ("lfarrayopt sweep vs grow-shrink", LFArrayOpt_sweep.sweep_vs_grow_shrink);
+    ("adaptiveopt grow during insert", AdaptiveOpt.grow_during_insert);
+    ("adaptiveopt shrink during contains", AdaptiveOpt.shrink_during_contains);
+    ("adaptiveopt grow vs grow", AdaptiveOpt.grow_vs_grow);
+    ( "adaptiveopt sweep helper vs lazy init",
+      AdaptiveOpt_sweep.helper_vs_lazy );
+    ( "adaptiveopt sweep vs grow-shrink",
+      AdaptiveOpt_sweep.sweep_vs_grow_shrink );
   ]
 
 (* ... and the deliberately broken FSet (no [ok] re-check on the retry

@@ -7,10 +7,9 @@ let rules violations = List.map (fun v -> v.Lint_rules.rule) violations
 (* dune runtest runs with cwd = _build/default/test (where the dep is
    copied); `dune exec test/test_main.exe` runs from the project
    root. *)
-let fixture_path () =
+let fixture_path ?(name = "lint_violation.ml.fixture") () =
   List.find Sys.file_exists
-    [ "fixtures/lint_violation.ml.fixture";
-      "test/fixtures/lint_violation.ml.fixture" ]
+    [ "fixtures/" ^ name; "test/fixtures/" ^ name ]
 
 let test_fixture_flagged () =
   let vs = Lint_rules.check_file (fixture_path ()) in
@@ -94,6 +93,23 @@ let test_alias_evasions_flagged () =
   Alcotest.(check bool) "Stdlib.ref is fine" false
     (flagged "let r = Stdlib.ref 0\n")
 
+(* A seventh hand copy of the HNode scaffolding drives the migration
+   sweep itself: every driving call is flagged, while the same source
+   as lib/hashset/table_core.ml — the one owner — is clean. *)
+let test_sweep_copy_flagged () =
+  let path = fixture_path ~name:"lint_sweep_copy.ml.fixture" () in
+  let vs = Lint_rules.check_file path in
+  Alcotest.(check (list int))
+    "make, help, drain, finish flagged by line" [ 11; 14; 17; 18 ]
+    (List.map (fun v -> v.Lint_rules.line) vs);
+  let ic = open_in_bin path in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check int)
+    "the owner may drive the sweep" 0
+    (List.length
+       (Lint_rules.check_source ~file:"lib/hashset/table_core.ml" src))
+
 let suite =
   [
     ( "lint",
@@ -107,5 +123,7 @@ let suite =
         Alcotest.test_case "each rule fires" `Quick test_each_rule_fires;
         Alcotest.test_case "alias evasions flagged" `Quick
           test_alias_evasions_flagged;
+        Alcotest.test_case "hand-copied sweep driver flagged" `Quick
+          test_sweep_copy_flagged;
       ] );
   ]

@@ -327,6 +327,51 @@ let test_json_shapes () =
         | Some (Json.Bool true) -> ()
         | _ -> Alcotest.fail "active block must say active:true"))
 
+(* --- named retry sites of the map tables --- *)
+
+module Int_key = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end
+
+module Gmap = Nbhash_generic.Generic_map.Make (Int_key)
+
+(* An update whose callback, on its first call only, forces two grows:
+   the second freezes the bucket the update read, so its install CAS
+   fails exactly once and the retry lands in the successor table. *)
+let stale_update ~site ~update ~force_resize () =
+  with_profile (fun p ->
+      let calls = ref 0 in
+      update (fun cur ->
+          incr calls;
+          if !calls = 1 then begin
+            force_resize ();
+            force_resize ()
+          end;
+          Option.value cur ~default:0 + 1);
+      Alcotest.(check int) "callback ran twice" 2 !calls;
+      Alcotest.(check int)
+        (site ^ " retried exactly once")
+        1
+        (Profile.retries p (Site.register site)))
+
+let test_hashmap_update_retry () =
+  let module M = Nbhash.Hashmap in
+  let h = M.register (M.create ()) in
+  stale_update ~site:"hashmap/update"
+    ~update:(fun f -> M.update h 5 f)
+    ~force_resize:(fun () -> M.force_resize h ~grow:true)
+    ()
+
+let test_generic_map_update_retry () =
+  let h = Gmap.register (Gmap.create ()) in
+  stale_update ~site:"generic_map/update"
+    ~update:(fun f -> Gmap.update h 5 f)
+    ~force_resize:(fun () -> Gmap.force_resize h ~grow:true)
+    ()
+
 let suite =
   [
     ( "profile",
@@ -347,5 +392,9 @@ let suite =
           test_disabled_path_no_alloc;
         Alcotest.test_case "json documents well-formed" `Quick
           test_json_shapes;
+        Alcotest.test_case "hashmap update retry site" `Quick
+          test_hashmap_update_retry;
+        Alcotest.test_case "generic_map update retry site" `Quick
+          test_generic_map_update_retry;
       ] );
   ]

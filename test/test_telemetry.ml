@@ -146,29 +146,101 @@ let resize_storm (module S : Nbhash.Hashset_intf.S) () =
    one full migration it equals the cardinality at migration time. The
    FIRST force_resize of a quiescent pred-less table migrates nothing
    (every bucket is already initialised); it is the second resize that
-   freezes and moves every key. *)
-let full_migration (module S : Nbhash.Hashset_intf.S) () =
+   freezes and moves every key. Every table built on Table_core, sets
+   and maps alike, must account migrations this way. *)
+type migratable = {
+  insert : int -> unit;
+  grow : unit -> unit;
+  cardinal : unit -> int;
+  release : unit -> unit;
+}
+
+let full_migration_of make () =
   with_probe (fun p ->
-      let t =
-        S.create ~policy:{ Nbhash.Policy.default with init_buckets = 16 } ()
-      in
-      let h = S.register t in
+      let m = make { Nbhash.Policy.default with init_buckets = 16 } in
       let n = 1000 in
       for k = 0 to n - 1 do
-        ignore (S.insert h k)
+        m.insert k
       done;
-      S.force_resize h ~grow:true;
+      m.grow ();
       (* Quiescent: discard the counts of the first resize (which may
          have migrated keys lazily inserted across older tables), then
          measure one whole grow. *)
       Probe.reset p;
-      S.force_resize h ~grow:true;
-      S.unregister h;
+      m.grow ();
+      m.release ();
       let snap = Tm.snapshot () in
       Alcotest.(check int) "keys_migrated == cardinal" n
         (Snapshot.get snap Event.Keys_migrated);
-      Alcotest.(check int) "cardinal unchanged" n (S.cardinal t);
+      Alcotest.(check int) "cardinal unchanged" n (m.cardinal ());
       Alcotest.(check int) "one grow" 1 (Snapshot.get snap Event.Resize_grow))
+
+let full_migration (module S : Nbhash.Hashset_intf.S) =
+  full_migration_of (fun policy ->
+      let t = S.create ~policy () in
+      let h = S.register t in
+      {
+        insert = (fun k -> ignore (S.insert h k));
+        grow = (fun () -> S.force_resize h ~grow:true);
+        cardinal = (fun () -> S.cardinal t);
+        release = (fun () -> S.unregister h);
+      })
+
+module Int_key = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end
+
+module Gset = Nbhash_generic.Generic_set.Make (Int_key)
+module Gmap = Nbhash_generic.Generic_map.Make (Int_key)
+
+let hashmap_migration =
+  let open Nbhash.Hashmap in
+  full_migration_of (fun policy ->
+      let t = create ~policy () in
+      let h = register t in
+      {
+        insert = (fun k -> ignore (put h k k));
+        grow = (fun () -> force_resize h ~grow:true);
+        cardinal = (fun () -> cardinal t);
+        release = (fun () -> unregister h);
+      })
+
+let wf_hashmap_migration =
+  let open Nbhash.Wf_hashmap in
+  full_migration_of (fun policy ->
+      let t = create ~policy () in
+      let h = register t in
+      {
+        insert = (fun k -> ignore (put h k k));
+        grow = (fun () -> force_resize h ~grow:true);
+        cardinal = (fun () -> cardinal t);
+        release = (fun () -> unregister h);
+      })
+
+let generic_set_migration =
+  full_migration_of (fun policy ->
+      let t = Gset.create ~policy () in
+      let h = Gset.register t in
+      {
+        insert = (fun k -> ignore (Gset.add h k));
+        grow = (fun () -> Gset.force_resize h ~grow:true);
+        cardinal = (fun () -> Gset.cardinal t);
+        release = (fun () -> Gset.unregister h);
+      })
+
+let generic_map_migration =
+  full_migration_of (fun policy ->
+      let t = Gmap.create ~policy () in
+      let h = Gmap.register t in
+      {
+        insert = (fun k -> ignore (Gmap.put h k k));
+        grow = (fun () -> Gmap.force_resize h ~grow:true);
+        cardinal = (fun () -> Gmap.cardinal t);
+        release = (fun () -> Gmap.unregister h);
+      })
 
 (* --- counter flush exactness (the unregister path) --- *)
 
@@ -341,6 +413,13 @@ let suite =
           (full_migration (module Nbhash.Tables.LFArrayOpt));
         Alcotest.test_case "full migration WFList" `Quick
           (full_migration (module Nbhash.Tables.WFList));
+        Alcotest.test_case "full migration Hashmap" `Quick hashmap_migration;
+        Alcotest.test_case "full migration Wf_hashmap" `Quick
+          wf_hashmap_migration;
+        Alcotest.test_case "full migration Generic_set" `Quick
+          generic_set_migration;
+        Alcotest.test_case "full migration Generic_map" `Quick
+          generic_map_migration;
         Alcotest.test_case "unregister flushes counters" `Quick
           test_unregister_flushes;
         Alcotest.test_case "wait-free helping reported" `Quick

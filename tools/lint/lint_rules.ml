@@ -1,6 +1,6 @@
 (* Rules of the atomics lint over the nonblocking libraries
-   (lib/fset, lib/hashset, lib/splitorder, lib/michael,
-   lib/telemetry):
+   (lib/fset, lib/hashset, lib/splitorder, lib/michael, lib/telemetry,
+   lib/server, lib/generic, lib/workload):
 
    1. no direct [Stdlib.Atomic] — all atomic operations must go
       through the [Nbhash_util.Nb_atomic] shim so the model checker
@@ -15,6 +15,12 @@
       [include Stdlib]) — re-exposing the stdlib namespace smuggles
       [Atomic] / [Mutex] back in under spellings this textual lint
       cannot see. Dotted uses ([Stdlib.max_int]) stay legal.
+
+   6. the migration sweep is driven ([Sweep.make], [Sweep.help],
+      [Sweep.drain], [Sweep.finish]) only from
+      lib/hashset/table_core.ml — a table that needs the HNode
+      scaffolding instantiates [Table_core.Make] with its slot
+      protocol instead of copying RESIZE and INITBUCKET.
 
    Matching is done on source text with comments and string literals
    blanked out, so prose mentioning "Mutex" stays legal. The checker
@@ -124,6 +130,38 @@ let mentions_bare_stdlib line =
   in
   go 0
 
+(* Does [line] drive the sweep: [Sweep.<name>] for one of the driving
+   entry points, under any module prefix ([Nbhash.Sweep.help])? *)
+let sweep_entry_points = [ "make"; "help"; "drain"; "finish" ]
+
+let drives_sweep line =
+  let n = String.length line in
+  let rec go i =
+    match String.index_from_opt line i 'S' with
+    | None -> false
+    | Some j ->
+      (j + 6 <= n
+      && String.sub line j 6 = "Sweep."
+      && (j = 0 || not (is_ident_char line.[j - 1]))
+      &&
+      let rest = String.sub line (j + 6) (n - j - 6) in
+      List.exists
+        (fun name ->
+          let m = String.length name in
+          String.length rest >= m
+          && String.sub rest 0 m = name
+          && (String.length rest = m || not (is_ident_char rest.[m])))
+        sweep_entry_points)
+      || go (j + 1)
+  in
+  go 0
+
+let sweep_owner = "lib/hashset/table_core.ml"
+
+let owns_sweep file =
+  let n = String.length file and m = String.length sweep_owner in
+  n >= m && String.sub file (n - m) m = sweep_owner
+
 let shim_alias = "module Atomic = Nbhash_util.Nb_atomic"
 
 let banned =
@@ -176,6 +214,17 @@ let check_source ~file src =
                Mutex under spellings the textual lint cannot see — use \
                dotted Stdlib paths (the typed analyzer, dune build \
                @analyze, resolves the rest)";
+          }
+          :: !violations;
+      if drives_sweep l && not (owns_sweep file) then
+        violations :=
+          {
+            file;
+            line;
+            rule =
+              "the migration sweep is driven only from " ^ sweep_owner
+              ^ " — instantiate Table_core.Make with a slot module \
+                 instead of copying the HNode scaffolding";
           }
           :: !violations;
       if mentions l "Atomic" then
