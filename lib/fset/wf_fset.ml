@@ -1,148 +1,44 @@
 module Atomic = Nbhash_util.Nb_atomic
 
 module Make (E : Elems.S) : Fset_intf.WF = struct
-  module Tm = Nbhash_telemetry.Global
-  module Ev = Nbhash_telemetry.Event
+  module Node = Wf_node.Make (struct
+    include Wf_node.Set_ops (E)
 
-  let site_freeze =
-    Nbhash_telemetry.Site.register ("wf_fset(" ^ E.id ^ ")/freeze")
+    let prefix = "wf_fset(" ^ E.id ^ ")"
+  end)
 
-  let site_invoke =
-    Nbhash_telemetry.Site.register ("wf_fset(" ^ E.id ^ ")/invoke")
-
-  let infinity_prio = max_int
-
-  type op = {
-    kind : Fset_intf.kind;
-    key : int;
-    resp : bool Atomic.t;
-    prio : int Atomic.t;
-  }
-
-  type slot = Empty | Frozen | Pending of op
-  type node = { elems : E.t; slot : slot Atomic.t }
-  type t = { node : node Atomic.t; flag : bool Atomic.t }
+  type op = unit Node.op
+  type t = { node : unit Node.slot Atomic.t; flag : bool Atomic.t }
 
   let id = "wf-" ^ E.id
+  let infinity_prio = Node.infinity_prio
 
   let create elems =
     {
-      node = Atomic.make { elems = E.of_array elems; slot = Atomic.make Empty };
+      node = Atomic.make (Node.fresh (E.of_array elems));
       flag = Atomic.make false;
     }
 
-  let make_op kind key ~prio =
-    { kind; key; resp = Atomic.make false; prio = Atomic.make prio }
+  let make_op = Node.make_op
+  let op_kind (op : op) = op.action
+  let op_key (op : op) = op.key
+  let op_prio = Node.op_prio
+  let op_is_done = Node.op_is_done
 
-  let op_kind op = op.kind
-  let op_key op = op.key
-  let op_prio op = Atomic.get op.prio
-  let op_is_done op = Atomic.get op.prio = infinity_prio
-  let get_response op = Atomic.get op.resp
+  (* The op's result is the key's previous membership. *)
+  let get_response (op : op) =
+    let prev = Node.op_result op in
+    match op.action with Fset_intf.Ins -> not prev | Fset_intf.Rem -> prev
 
-  (* Complete the pending operation of the current node, if any. All
-     helpers compute the same (resp, elems) from the same immutable
-     (node, op) pair, so the racy writes below are idempotent; the
-     node CAS succeeds for exactly one helper. Setting [prio] to
-     infinity is the abstract [done := true]. *)
-  let help_finish t =
-    let o = Atomic.get t.node in
-    match Atomic.get o.slot with
-    | Empty | Frozen -> ()
-    | Pending op ->
-      let present = E.mem o.elems op.key in
-      let resp, elems =
-        match op.kind with
-        | Fset_intf.Ins ->
-          (not present, if present then o.elems else E.add o.elems op.key)
-        | Fset_intf.Rem ->
-          (present, if present then E.remove o.elems op.key else o.elems)
-      in
-      Atomic.set op.resp resp;
-      Atomic.set op.prio infinity_prio;
-      ignore
-        (Atomic.compare_and_set t.node o { elems; slot = Atomic.make Empty })
-      [@nbhash.cas_ok
-        "helping: all helpers derive the same successor node from the same \
-         immutable (node, op) pair; exactly one CAS installs it"]
+  let invoke t op = Node.invoke ~flag:t.flag t.node op
+  let freeze t = E.to_array (Node.freeze ~flag:t.flag t.node)
+  let has_member t k = Node.member (Atomic.get t.node) k
+  let elements t = E.to_array (Node.contents (Atomic.get t.node))
 
-  (* Once a slot is CASed from Empty to Frozen its node can never be
-     replaced (replacement requires a completed Pending), so the set
-     is permanently immutable from that point. *)
-  let rec do_freeze t =
-    let o = Atomic.get t.node in
-    match Atomic.get o.slot with
-    | Frozen -> ()
-    | Empty ->
-      if Atomic.compare_and_set o.slot Empty Frozen then Tm.emit Ev.Freeze
-      else begin
-        Tm.cas_retry site_freeze;
-        do_freeze t
-      end
-    | Pending _ ->
-      help_finish t;
-      do_freeze t
+  let size t =
+    match Atomic.get t.node with
+    | Node.N n -> E.length n.elems
+    | Node.Uninit -> assert false
 
-  let freeze t =
-    Atomic.set t.flag true;
-    do_freeze t;
-    E.to_array (Atomic.get t.node).elems
-
-  let rec invoke t op =
-    if op_is_done op then true
-    else begin
-      let o = Atomic.get t.node in
-      match Atomic.get o.slot with
-      | Frozen -> op_is_done op
-      | (Empty | Pending _) as s ->
-        if Atomic.get t.flag then begin
-          do_freeze t;
-          op_is_done op
-        end
-        else begin
-          match s with
-          | Empty ->
-            if op_is_done op then true
-            else if Atomic.compare_and_set o.slot Empty (Pending op) then begin
-              help_finish t;
-              true
-            end
-            else begin
-              Tm.cas_retry site_invoke;
-              invoke t op
-            end
-          | Frozen -> op_is_done op
-          | Pending _ ->
-            help_finish t;
-            invoke t op
-        end
-    end
-
-  let has_member t k =
-    let o = Atomic.get t.node in
-    match Atomic.get o.slot with
-    | Pending op when op.key = k -> op.kind = Fset_intf.Ins
-    | Empty | Frozen | Pending _ -> E.mem o.elems k
-
-  (* The logical contents include any installed (hence linearized)
-     pending operation. *)
-  let elements t =
-    let o = Atomic.get t.node in
-    match Atomic.get o.slot with
-    | Empty | Frozen -> E.to_array o.elems
-    | Pending op ->
-      let present = E.mem o.elems op.key in
-      let elems =
-        match op.kind with
-        | Fset_intf.Ins -> if present then o.elems else E.add o.elems op.key
-        | Fset_intf.Rem -> if present then E.remove o.elems op.key else o.elems
-      in
-      E.to_array elems
-
-  let size t = E.length (Atomic.get t.node).elems
-
-  let is_frozen t =
-    match Atomic.get (Atomic.get t.node).slot with
-    | Frozen -> true
-    | Empty | Pending _ -> false
+  let is_frozen t = Node.is_frozen (Atomic.get t.node)
 end

@@ -1,12 +1,8 @@
-module Atomic = Nbhash_util.Nb_atomic
-
 module Make (F : Nbhash_fset.Fset_intf.WF) = struct
-  module W = Wf_common.Make (F)
-  module Tm = Nbhash_telemetry.Global
-  module Ev = Nbhash_telemetry.Event
+  module A = Announce.Over_fset (F)
 
-  type t = { w : W.t; fast_threshold : int; help_mask : int }
-  type handle = { wh : W.handle; t : t }
+  type t = unit A.t
+  type handle = unit A.handle
 
   let name =
     "Adaptive"
@@ -17,83 +13,35 @@ module Make (F : Nbhash_fset.Fset_intf.WF) = struct
       if rep = "array" then "" else "-" ^ rep
     | None -> "-" ^ F.id
 
-  let create_tuned ?(policy = Policy.default) ?(max_threads = 128)
-      ?(fast_threshold = 256) ?(help_period = 64) () =
-    if not (Nbhash_util.Bits.is_pow2 help_period) then
-      invalid_arg "help_period must be a power of two";
-    if fast_threshold < 1 then invalid_arg "fast_threshold < 1";
-    {
-      w = W.create_t policy max_threads;
-      fast_threshold;
-      help_mask = help_period - 1;
-    }
-
-  let create ?policy ?max_threads () = create_tuned ?policy ?max_threads ()
-  let register t = { wh = W.register t.w; t }
-  let unregister h = W.unregister h.wh
-  let slow_path_entries h = h.wh.W.slow_entries
-
-  (* Fast path: the lock-free APPLY, with a private (never-announced)
-     operation. The operation is abandoned only when it was never
-     applied — invoke returning false means the bucket was frozen and
-     the op not installed — so retrying on the slow path with a fresh
-     op cannot double-apply. *)
-  let fast_apply t kind k =
-    let op = F.make_op kind k ~prio:0 in
-    let rec attempt failures =
-      if failures >= t.fast_threshold then None
-      else begin
-        let hn = Atomic.get t.w.W.core.W.Core.head in
-        let i = k land hn.W.Core.mask in
-        match Atomic.get hn.W.Core.buckets.(i) with
-        | None ->
-          W.Core.init_bucket hn i;
-          attempt failures
-        | Some b ->
-          if F.invoke b op then Some (F.get_response op)
-          else attempt (failures + 1)
-      end
-    in
-    attempt 0
-
-  let apply h kind k =
-    let t = h.t in
-    let wh = h.wh in
-    wh.W.ops <- wh.W.ops + 1;
-    if wh.W.ops land t.help_mask = 0 then W.help_lowest t.w;
-    Tm.emit Ev.Fastpath_entry;
-    match fast_apply t kind k with
-    | Some resp -> resp
-    | None ->
-      wh.W.slow_entries <- wh.W.slow_entries + 1;
-      W.slow_apply wh kind k
+  let create_tuned = A.create
+  let create ?policy ?max_threads () = A.create ?policy ?max_threads ()
+  let register = A.register
+  let unregister = A.unregister
+  let slow_path_entries = A.slow_path_entries
 
   let insert h k =
     Hashset_intf.check_key k;
-    let resp = apply h Nbhash_fset.Fset_intf.Ins k in
-    W.after_insert h.wh k ~resp;
+    let resp = A.adaptive_apply h Nbhash_fset.Fset_intf.Ins k in
+    A.after_insert h k ~resp;
     resp
 
   let remove h k =
     Hashset_intf.check_key k;
-    let resp = apply h Nbhash_fset.Fset_intf.Rem k in
-    W.after_remove h.wh ~resp;
+    let resp = A.adaptive_apply h Nbhash_fset.Fset_intf.Rem k in
+    A.after_remove h ~resp;
     resp
 
   let contains h k =
     Hashset_intf.check_key k;
-    W.contains h.t.w k
+    A.contains h k
 
-  let bucket_count t = W.Core.bucket_count t.w.W.core
-  let resize_stats t = W.Core.resize_stats t.w.W.core
-  let bucket_sizes t = W.Core.bucket_sizes t.w.W.core
-  let force_resize h ~grow = W.Core.resize h.t.w.W.core grow
-  let cardinal t = W.Core.cardinal t.w.W.core
-  let elements t = W.Core.elements t.w.W.core
-  let check_invariants t = W.Core.check_invariants t.w.W.core
-
-  let inspect t =
-    W.Core.inspect t.w.W.core ~announce_pending:(Array.length (W.announced t.w))
-
-  let pending_ops t = W.announced t.w
+  let bucket_count = A.bucket_count
+  let resize_stats = A.resize_stats
+  let bucket_sizes = A.bucket_sizes
+  let force_resize = A.force_resize
+  let cardinal = A.cardinal
+  let elements = A.elements
+  let check_invariants = A.check_invariants
+  let inspect = A.inspect
+  let pending_ops = A.pending_ops
 end

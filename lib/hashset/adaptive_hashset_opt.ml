@@ -1,319 +1,66 @@
 module Atomic = Nbhash_util.Nb_atomic
+module Fset_intf = Nbhash_fset.Fset_intf
 
-module Intset = Nbhash_fset.Intset
-module Tm = Nbhash_telemetry.Global
-module Ev = Nbhash_telemetry.Event
+(* The buckets hold the Figure 6 node over int arrays; an operation's
+   result is the key's previous membership. *)
+module A =
+  Announce.Over_nodes
+    (Table_core.Int_keys)
+    (struct
+      include Nbhash_fset.Wf_node.Set_ops (Nbhash_fset.Elems.Array_rep)
 
-let site_freeze = Nbhash_telemetry.Site.register "adaptive_opt/freeze"
-let site_invoke = Nbhash_telemetry.Site.register "adaptive_opt/invoke"
+      let prefix = "adaptive_opt"
+    end)
 
-let infinity_prio = max_int
+module Node = A.Node
 
-type wop = {
-  kind : Nbhash_fset.Fset_intf.kind;
-  key : int;
-  resp : bool Atomic.t;
-  prio : int Atomic.t;
-}
-
-type opslot = Empty | Frozen | Pending of wop
-
-(* A bucket slot holds the wait-free FSetNode inline. *)
-type wslot = Uninit | N of { elems : int array; op : opslot Atomic.t }
-
-let make_op kind key ~prio =
-  { kind; key; resp = Atomic.make false; prio = Atomic.make prio }
-
-let op_is_done op = Atomic.get op.prio = infinity_prio
-let fresh_node elems = N { elems; op = Atomic.make Empty }
-
-(* --- The cooperative wait-free FSet protocol, inlined on slots. --- *)
-
-let help_finish slot =
-  match Atomic.get slot with
-  | Uninit -> ()
-  | N n as cur -> (
-    match Atomic.get n.op with
-    | Empty | Frozen -> ()
-    | Pending op ->
-      let present = Intset.mem n.elems op.key in
-      let resp, elems =
-        match op.kind with
-        | Nbhash_fset.Fset_intf.Ins ->
-          (not present, if present then n.elems else Intset.add n.elems op.key)
-        | Nbhash_fset.Fset_intf.Rem ->
-          (present, if present then Intset.remove n.elems op.key else n.elems)
-      in
-      Atomic.set op.resp resp;
-      Atomic.set op.prio infinity_prio;
-      ignore (Atomic.compare_and_set slot cur (fresh_node elems))
-      [@nbhash.cas_ok
-      "helping: all helpers derive the same successor node from the same \
-       frozen (node, op) pair; exactly one CAS installs it"])
-
-let rec do_freeze slot =
-  match Atomic.get slot with
-  | Uninit -> assert false
-  | N n -> (
-    match Atomic.get n.op with
-    | Frozen -> n.elems
-    | Empty ->
-      if Atomic.compare_and_set n.op Empty Frozen then begin
-        Tm.emit Ev.Freeze;
-        n.elems
-      end
-      else begin
-        Tm.cas_retry site_freeze;
-        do_freeze slot
-      end
-    | Pending _ ->
-      help_finish slot;
-      do_freeze slot)
-
-let slot_member s k =
-  match s with
-  | Uninit -> assert false
-  | N n -> (
-    match Atomic.get n.op with
-    | Pending op when op.key = k -> op.kind = Nbhash_fset.Fset_intf.Ins
-    | Empty | Frozen | Pending _ -> Intset.mem n.elems k)
-
-module Slot = struct
-  include Table_core.Int_keys
-
-  type 'v slot = wslot
-  type side = bool Atomic.t array  (* per-bucket freeze intent *)
-
-  let uninit = Uninit
-  let fresh = fresh_node
-  let make_side size = Array.init size (fun _ -> Atomic.make false)
-
-  let freeze flags buckets i =
-    Atomic.set flags.(i) true;
-    do_freeze buckets.(i)
-
-  (* Logical contents of a slot, pending operation included. *)
-  let contents = function
-    | Uninit -> assert false
-    | N n -> (
-      match Atomic.get n.op with
-      | Empty | Frozen -> n.elems
-      | Pending op -> (
-        let present = Intset.mem n.elems op.key in
-        match op.kind with
-        | Nbhash_fset.Fset_intf.Ins ->
-          if present then n.elems else Intset.add n.elems op.key
-        | Nbhash_fset.Fset_intf.Rem ->
-          if present then Intset.remove n.elems op.key else n.elems))
-
-  let size = function Uninit -> assert false | N n -> Array.length n.elems
-
-  let is_frozen = function
-    | Uninit -> assert false
-    | N n -> (
-      match Atomic.get n.op with Frozen -> true | Empty | Pending _ -> false)
-end
-
-module Core = Table_core.Make (Slot)
-
-type t = {
-  core : unit Core.t;
-  slots : wop Atomic.t array;
-  counter : int Atomic.t;
-  fast_threshold : int;
-  help_mask : int;
-}
-
-type handle = {
-  table : t;
-  tid : int;
-  local : Policy.Trigger.local;
-  mutable ops : int;
-  mutable slow_entries : int;
-}
+type t = unit A.t
+type handle = unit A.handle
 
 let name = "AdaptiveOpt"
-
-let create_tuned ?(policy = Policy.default) ?(max_threads = 128)
-    ?(fast_threshold = 256) ?(help_period = 64) () =
-  if not (Nbhash_util.Bits.is_pow2 help_period) then
-    invalid_arg "help_period must be a power of two";
-  if fast_threshold < 1 then invalid_arg "fast_threshold < 1";
-  {
-    core = Core.create policy;
-    slots =
-      Array.init max_threads (fun _ ->
-          Atomic.make (make_op Nbhash_fset.Fset_intf.Ins 0 ~prio:infinity_prio));
-    counter = Atomic.make 0;
-    fast_threshold;
-    help_mask = help_period - 1;
-  }
-
-let create ?policy ?max_threads () = create_tuned ?policy ?max_threads ()
-
-let register table =
-  let { Core.tid; local; _ } = Core.register table.core in
-  if tid >= Array.length table.slots then
-    failwith "register: max_threads handles already registered";
-  { table; tid; local; ops = 0; slow_entries = 0 }
-
-let unregister h = Policy.Trigger.flush h.local
-let slow_path_entries h = h.slow_entries
-
-(* INVOKE on bucket [i] of [hn]: the freeze-intent flag in the HNode's
-   side array makes a pending freeze win over new operations. *)
-let rec invoke hn i op =
-  if op_is_done op then true
-  else begin
-    let slot = hn.Core.buckets.(i) in
-    match Atomic.get slot with
-    | Uninit -> assert false
-    | N n -> (
-      match Atomic.get n.op with
-      | Frozen -> op_is_done op
-      | Empty | Pending _ ->
-        if Atomic.get hn.Core.side.(i) then begin
-          ignore (do_freeze slot);
-          op_is_done op
-        end
-        else begin
-          match Atomic.get n.op with
-          | Empty ->
-            if op_is_done op then true
-            else if Atomic.compare_and_set n.op Empty (Pending op) then begin
-              help_finish slot;
-              true
-            end
-            else begin
-              Tm.cas_retry site_invoke;
-              invoke hn i op
-            end
-          | Frozen -> op_is_done op
-          | Pending _ ->
-            help_finish slot;
-            invoke hn i op
-        end)
-  end
-
-let ensure_bucket hn k =
-  let i = k land hn.Core.mask in
-  (match Atomic.get hn.Core.buckets.(i) with
-  | Uninit -> Core.init_bucket hn i
-  | N _ -> ());
-  i
-
-(* --- Announce-and-help (Figure 4) and the fast path. --- *)
-
-let drive t op =
-  let continue = ref (not (op_is_done op)) in
-  while !continue do
-    let hn = Atomic.get t.core.Core.head in
-    let i = ensure_bucket hn op.key in
-    if invoke hn i op then continue := false
-    else continue := not (op_is_done op)
-  done
-
-let help_up_to t ~prio =
-  for tid = 0 to Array.length t.slots - 1 do
-    let op = Atomic.get t.slots.(tid) in
-    if Atomic.get op.prio <= prio then begin
-      if not (op_is_done op) then Tm.emit_arg Ev.Help_op tid;
-      drive t op
-    end
-  done
-
-(* Announce-array snapshot for the liveness watchdog; see
-   Wf_common.announced. *)
-let pending_ops t =
-  let out = ref [] in
-  for tid = Array.length t.slots - 1 downto 0 do
-    let op = Atomic.get t.slots.(tid) in
-    let p = Atomic.get op.prio in
-    if p <> infinity_prio && not (op_is_done op) then out := (tid, p) :: !out
-  done;
-  Array.of_list !out
-
-let help_lowest t =
-  let best = ref None in
-  Array.iter
-    (fun slot ->
-      let op = Atomic.get slot in
-      let p = Atomic.get op.prio in
-      if p <> infinity_prio then
-        match !best with
-        | Some (bp, _) when bp <= p -> ()
-        | Some _ | None -> best := Some (p, op))
-    t.slots;
-  match !best with
-  | None -> ()
-  | Some (_, op) ->
-    Tm.emit Ev.Help_op;
-    drive t op
-
-let slow_apply h kind k =
-  let t = h.table in
-  Tm.emit_arg Ev.Slowpath_entry k;
-  let start_ns = Tm.span_begin Ev.Slowpath_span in
-  let prio = Atomic.fetch_and_add t.counter 1 in
-  let myop = make_op kind k ~prio in
-  Atomic.set t.slots.(h.tid) myop;
-  help_up_to t ~prio;
-  let resp = Atomic.get myop.resp in
-  Tm.record_span Ev.Slowpath_span ~start_ns;
-  resp
-
-let fast_apply t kind k =
-  let op = make_op kind k ~prio:0 in
-  let rec attempt failures =
-    if failures >= t.fast_threshold then None
-    else begin
-      let hn = Atomic.get t.core.Core.head in
-      let i = ensure_bucket hn k in
-      if invoke hn i op then Some (Atomic.get op.resp)
-      else attempt (failures + 1)
-    end
-  in
-  attempt 0
-
-let apply h kind k =
-  let t = h.table in
-  h.ops <- h.ops + 1;
-  if h.ops land t.help_mask = 0 then help_lowest t;
-  Tm.emit Ev.Fastpath_entry;
-  match fast_apply t kind k with
-  | Some resp -> resp
-  | None ->
-    h.slow_entries <- h.slow_entries + 1;
-    slow_apply h kind k
-
-(* --- Public operations. --- *)
+let create_tuned = A.create
+let create ?policy ?max_threads () = A.create ?policy ?max_threads ()
+let register = A.register
+let unregister = A.unregister
+let slow_path_entries = A.slow_path_entries
 
 let insert h k =
   Hashset_intf.check_key k;
-  let resp = apply h Nbhash_fset.Fset_intf.Ins k in
-  Core.after_insert h.table.core h.local ~key:k ~resp;
+  let resp = not (A.adaptive_apply h Fset_intf.Ins k) in
+  A.after_insert h k ~resp;
   resp
 
 let remove h k =
   Hashset_intf.check_key k;
-  let resp = apply h Nbhash_fset.Fset_intf.Rem k in
-  Core.after_remove h.table.core h.local ~resp;
+  let resp = A.adaptive_apply h Fset_intf.Rem k in
+  A.after_remove h ~resp;
   resp
 
+(* The lookup hot path reads the node in place: the scan of its
+   entries is a direct [Intset.mem], not a call through the node
+   functor's payload. *)
 let contains h k =
   Hashset_intf.check_key k;
-  let hn = Atomic.get h.table.core.Core.head in
-  match Atomic.get hn.Core.buckets.(k land hn.Core.mask) with
-  | N _ as s -> slot_member s k
-  | Uninit -> slot_member (Core.lookup_slot hn k) k
+  let hn = Atomic.get h.A.table.A.core.A.Core.head in
+  let s =
+    match Atomic.get hn.A.Core.buckets.(k land hn.A.Core.mask) with
+    | Node.Uninit -> A.Core.lookup_slot hn k
+    | s -> s
+  in
+  match s with
+  | Node.N n -> (
+    match Atomic.get n.op with
+    | Node.Pending op when op.key = k -> Node.member s k
+    | Node.Empty | Node.Frozen | Node.Pending _ ->
+      Nbhash_fset.Intset.mem n.elems k)
+  | Node.Uninit -> assert false
 
-let bucket_count t = Core.bucket_count t.core
-let resize_stats t = Core.resize_stats t.core
-let force_resize h ~grow = Core.resize h.table.core grow
-let bucket_sizes t = Core.bucket_sizes t.core
-let cardinal t = Core.cardinal t.core
-let elements t = Core.elements t.core
-let check_invariants t = Core.check_invariants t.core
-
-let inspect t =
-  Core.inspect t.core ~announce_pending:(Array.length (pending_ops t))
+let bucket_count = A.bucket_count
+let resize_stats = A.resize_stats
+let bucket_sizes = A.bucket_sizes
+let force_resize = A.force_resize
+let cardinal = A.cardinal
+let elements = A.elements
+let check_invariants = A.check_invariants
+let inspect = A.inspect
+let pending_ops = A.pending_ops

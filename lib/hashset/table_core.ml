@@ -26,11 +26,30 @@
 
 module Atomic = Nbhash_util.Nb_atomic
 
-(** What one bucket atomic holds. Polymorphic in the value type ['v]
-    of the maps; the sets ignore it. *)
-module type SLOT = sig
+(** The entries of a bucket: keys, or (key, value) bindings.
+    Polymorphic in the value type ['v] of the maps; the sets ignore
+    it. *)
+module type KEYS = sig
   type 'v elt
   (** One bucket entry: a key, or a (key, value) binding. *)
+
+  val split : 'v elt array -> mask:int -> target:int -> 'v elt array
+  (** The entries whose key hash satisfies [hash land mask = target]
+      (the grow half of bucket initialization). *)
+
+  val merge : 'v elt array -> 'v elt array -> 'v elt array
+  (** Union of two key-disjoint entry arrays (the shrink case). *)
+
+  val hash : 'v elt -> int
+  (** Non-negative key hash; bucket [i] of an HNode of mask [m] holds
+      exactly the entries with [hash e land m = i]. *)
+
+  val same_key : 'v elt -> 'v elt -> bool
+end
+
+(** What one bucket atomic holds. *)
+module type SLOT = sig
+  include KEYS
 
   type 'v slot
   (** The value stored directly in a bucket atomic. *)
@@ -54,13 +73,6 @@ module type SLOT = sig
   (** FREEZE bucket [j] of a predecessor HNode (never uninitialized)
       and return its final entries. Idempotent. *)
 
-  val split : 'v elt array -> mask:int -> target:int -> 'v elt array
-  (** The entries whose key hash satisfies [hash land mask = target]
-      (the grow half of bucket initialization). *)
-
-  val merge : 'v elt array -> 'v elt array -> 'v elt array
-  (** Union of two key-disjoint entry arrays (the shrink case). *)
-
   val size : 'v slot -> int
   (** Entry count of an initialized slot, for the resize triggers. *)
 
@@ -69,12 +81,6 @@ module type SLOT = sig
       a linearized but unfinished operation. *)
 
   val is_frozen : 'v slot -> bool
-
-  val hash : 'v elt -> int
-  (** Non-negative key hash; bucket [i] of an HNode of mask [m] holds
-      exactly the entries with [hash e land m = i]. *)
-
-  val same_key : 'v elt -> 'v elt -> bool
 end
 
 (** The entry operations of the integer-keyed sets, for [include] in

@@ -1,8 +1,8 @@
 module Make (F : Nbhash_fset.Fset_intf.WF) : Hashset_intf.S = struct
-  module W = Wf_common.Make (F)
+  module A = Announce.Over_fset (F)
 
-  type t = W.t
-  type handle = W.handle
+  type t = unit A.t
+  type handle = unit A.handle
 
   let name =
     "WF"
@@ -12,38 +12,33 @@ module Make (F : Nbhash_fset.Fset_intf.WF) : Hashset_intf.S = struct
         | Some i -> String.sub F.id (i + 1) (String.length F.id - i - 1)
         | None -> F.id)
 
-  let create ?(policy = Policy.default) ?(max_threads = 128) () =
-    W.create_t policy max_threads
-
-  let register = W.register
-  let unregister = W.unregister
+  let create ?policy ?max_threads () = A.create ?policy ?max_threads ()
+  let register = A.register
+  let unregister = A.unregister
 
   let insert h k =
     Hashset_intf.check_key k;
-    let resp = W.slow_apply h Nbhash_fset.Fset_intf.Ins k in
-    W.after_insert h k ~resp;
+    let resp = A.slow_apply h Nbhash_fset.Fset_intf.Ins k in
+    A.after_insert h k ~resp;
     resp
 
   let remove h k =
     Hashset_intf.check_key k;
-    let resp = W.slow_apply h Nbhash_fset.Fset_intf.Rem k in
-    W.after_remove h ~resp;
+    let resp = A.slow_apply h Nbhash_fset.Fset_intf.Rem k in
+    A.after_remove h ~resp;
     resp
 
   let contains h k =
     Hashset_intf.check_key k;
-    W.contains h.W.table k
+    A.contains h k
 
-  let bucket_count t = W.Core.bucket_count t.W.core
-  let resize_stats t = W.Core.resize_stats t.W.core
-  let bucket_sizes t = W.Core.bucket_sizes t.W.core
-  let force_resize h ~grow = W.Core.resize h.W.table.W.core grow
-  let cardinal t = W.Core.cardinal t.W.core
-  let elements t = W.Core.elements t.W.core
-  let check_invariants t = W.Core.check_invariants t.W.core
-
-  let inspect t =
-    W.Core.inspect t.W.core ~announce_pending:(Array.length (W.announced t))
-
-  let pending_ops = W.announced
+  let bucket_count = A.bucket_count
+  let resize_stats = A.resize_stats
+  let bucket_sizes = A.bucket_sizes
+  let force_resize = A.force_resize
+  let cardinal = A.cardinal
+  let elements = A.elements
+  let check_invariants = A.check_invariants
+  let inspect = A.inspect
+  let pending_ops = A.pending_ops
 end

@@ -200,6 +200,36 @@ module Table_races (H : Nbhash.Hashset_intf.S) = struct
       |]
     in
     (threads, verdict t h1 r)
+
+  (* The announce array under a resize: thread A announces an insert,
+     thread B's own announce helps A's operation through the helping
+     scan (B's priority is higher, so it drives every older one), and
+     thread C forces a grow and then samples [pending_ops], the
+     watchdog's view. Both inserts must apply exactly once, and no
+     snapshot may report a completed operation — its priority is
+     infinity, which the watchdog would age as a stuck op. *)
+  let help_vs_grow_vs_snapshot ~infinity_prio () =
+    let t, h1, h2, r = setup 1 in
+    let h3 = H.register t in
+    let snapshots = ref [] in
+    let threads =
+      [|
+        (fun () -> record_insert r h1 1);
+        (fun () -> record_insert r h2 2);
+        (fun () ->
+          H.force_resize h3 ~grow:true;
+          snapshots := H.pending_ops t :: !snapshots);
+      |]
+    in
+    let reports_done snapshot =
+      Array.exists (fun (_, p) -> p = infinity_prio) snapshot
+    in
+    let check () =
+      if List.exists reports_done !snapshots then
+        Error "pending_ops reported a completed operation (priority infinity)"
+      else verdict t h1 r ()
+    in
+    (threads, check)
 end
 
 (* Cooperative-sweep races: the table starts mid-migration (a forced
@@ -413,6 +443,9 @@ let all : (string * Explore.scenario) list =
     ("lfflat grow during insert", LFFlat.grow_during_insert);
     ("lfflat shrink during contains", LFFlat.shrink_during_contains);
     ("wfarray grow during insert", WFArray.grow_during_insert);
+    ( "wfarray announce help vs grow vs snapshot",
+      WFArray.help_vs_grow_vs_snapshot
+        ~infinity_prio:Nbhash_fset.Wf_array_fset.infinity_prio );
     ("lfarray sweep helper vs lazy init", LFArray_sweep.helper_vs_lazy);
     ("lfarray sweep vs grow-shrink", LFArray_sweep.sweep_vs_grow_shrink);
     ("wfarray sweep helper vs lazy init", WFArray_sweep.helper_vs_lazy);

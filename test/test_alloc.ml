@@ -87,6 +87,32 @@ let insert_budget (module H : SET) ~fill_bound ~drain_bound () =
     Alcotest.failf "%s remove: %.1f minor words per call, bound %.0f" H.name
       drain drain_bound
 
+(* The adaptive tables' periodic assist scans the whole announce array
+   for the oldest pending operation; the scan itself allocates
+   nothing (no closure, no boxed best-so-far per candidate). *)
+let test_help_lowest_noalloc () =
+  let module A = Nbhash.Announce.Over_fset (Nbhash_fset.Wf_array_fset) in
+  let t = A.create () in
+  let h = A.register t in
+  ignore (A.slow_apply h Nbhash_fset.Fset_intf.Ins 7);
+  let w = words_per_call 100_000 (fun _ -> A.help_lowest t) in
+  Alcotest.(check (float 0.)) "help_lowest: minor words per call" 0. w
+
+(* The same fill and drain through a wait-free map's put/remove. *)
+let map_budget ~fill_bound ~drain_bound () =
+  let module M = Nbhash.Wf_hashmap in
+  let t = M.create () in
+  let h = M.register t in
+  let n = 1 lsl 14 in
+  let fill = words_per_call n (fun i -> ignore (M.put h (i + 1000) i)) in
+  let drain = words_per_call n (fun i -> ignore (M.remove h (i + 1000))) in
+  if fill > fill_bound then
+    Alcotest.failf "Wf_hashmap put: %.1f minor words per call, bound %.0f"
+      fill fill_bound;
+  if drain > drain_bound then
+    Alcotest.failf "Wf_hashmap remove: %.1f minor words per call, bound %.0f"
+      drain drain_bound
+
 let suite =
   [
     ( "alloc",
@@ -101,6 +127,8 @@ let suite =
           (contains_noalloc (module T.WFArray));
         Alcotest.test_case "AdaptiveOpt contains allocates nothing" `Quick
           (contains_noalloc (module T.AdaptiveOpt));
+        Alcotest.test_case "Announce help_lowest allocates nothing" `Quick
+          test_help_lowest_noalloc;
         Alcotest.test_case "Flat_fset has_member allocates nothing" `Quick
           test_has_member_noalloc;
         Alcotest.test_case "Flat_fset freeze allocates only its result"
@@ -112,5 +140,12 @@ let suite =
              ~drain_bound:12.);
         Alcotest.test_case "LFFlat insert/remove word budget" `Quick
           (insert_budget (module T.LFFlat) ~fill_bound:40. ~drain_bound:18.);
+        Alcotest.test_case "WFArray insert/remove word budget" `Quick
+          (insert_budget (module T.WFArray) ~fill_bound:39. ~drain_bound:29.);
+        Alcotest.test_case "AdaptiveOpt insert/remove word budget" `Quick
+          (insert_budget (module T.AdaptiveOpt) ~fill_bound:39.
+             ~drain_bound:33.);
+        Alcotest.test_case "Wf_hashmap put/remove word budget" `Quick
+          (map_budget ~fill_bound:65. ~drain_bound:53.);
       ] );
   ]

@@ -110,6 +110,28 @@ let test_sweep_copy_flagged () =
     (List.length
        (Lint_rules.check_source ~file:"lib/hashset/table_core.ml" src))
 
+(* A hand copy of the wait-free protocol installs its own Pending
+   operation and draws its own bakery priority: each line is flagged
+   except in its one owner. *)
+let test_announce_copy_flagged () =
+  let path = fixture_path ~name:"lint_announce_copy.ml.fixture" () in
+  let lines file =
+    let ic = open_in_bin path in
+    let src = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    List.map
+      (fun v -> v.Lint_rules.line)
+      (Lint_rules.check_source ~file src)
+  in
+  Alcotest.(check (list int))
+    "install CAS and bakery draw flagged by line" [ 11; 14 ]
+    (List.map (fun v -> v.Lint_rules.line) (Lint_rules.check_file path));
+  Alcotest.(check (list int))
+    "the node module may install" [ 14 ] (lines "lib/fset/wf_node.ml");
+  Alcotest.(check (list int))
+    "the announce module may draw priorities" [ 11 ]
+    (lines "lib/hashset/announce.ml")
+
 let suite =
   [
     ( "lint",
@@ -125,5 +147,7 @@ let suite =
           test_alias_evasions_flagged;
         Alcotest.test_case "hand-copied sweep driver flagged" `Quick
           test_sweep_copy_flagged;
+        Alcotest.test_case "hand-copied wait-free protocol flagged" `Quick
+          test_announce_copy_flagged;
       ] );
   ]

@@ -289,6 +289,21 @@ let test_wf_reports_helping () =
         Alcotest.(check bool) "span count matches entries" true
           (s.Nbhash_util.Stats.n >= 100))
 
+(* The map goes through the same announce as the sets: every put is
+   one slow-path entry. *)
+let test_wf_hashmap_reports_slowpath () =
+  with_probe (fun _ ->
+      let module M = Nbhash.Wf_hashmap in
+      let t = M.create ~max_threads:4 () in
+      let h = M.register t in
+      let n = 100 in
+      for k = 0 to n - 1 do
+        ignore (M.put h k k)
+      done;
+      M.unregister h;
+      Alcotest.(check int) "one slowpath entry per put" n
+        (Snapshot.get (Tm.snapshot ()) Event.Slowpath_entry))
+
 (* --- snapshot serialisation --- *)
 
 let test_snapshot_json () =
@@ -424,6 +439,8 @@ let suite =
           test_unregister_flushes;
         Alcotest.test_case "wait-free helping reported" `Quick
           test_wf_reports_helping;
+        Alcotest.test_case "wf_hashmap puts enter the slow path" `Quick
+          test_wf_hashmap_reports_slowpath;
         Alcotest.test_case "snapshot json" `Quick test_snapshot_json;
         Alcotest.test_case "snapshot json shape" `Quick
           test_snapshot_json_shape;

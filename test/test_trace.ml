@@ -199,18 +199,18 @@ let test_chrome_export () =
    announce/helping protocol (Figure 4) is supposed to make
    impossible. The watchdog must report it, and must stop reporting
    once a helper completes the operation. *)
-module W = Nbhash.Wf_common.Make (Nbhash_fset.Wf_array_fset)
+module W = Nbhash.Announce.Over_fset (Nbhash_fset.Wf_array_fset)
 module F = Nbhash_fset.Wf_array_fset
 
 let test_watchdog_negative_control () =
-  let t = W.create_t Nbhash.Policy.default 4 in
+  let t = W.create ~max_threads:4 () in
   let h = W.register t in
   let prio = Atomic.fetch_and_add t.W.counter 1 in
   let op = F.make_op Nbhash_fset.Fset_intf.Ins 42 ~prio in
   Atomic.set t.W.slots.(h.W.tid) op;
   let wd =
     Watchdog.create ~max_age_ns:5_000_000
-      [ { Watchdog.name = "broken-wf"; pending = (fun () -> W.announced t) } ]
+      [ { Watchdog.name = "broken-wf"; pending = (fun () -> W.pending_ops t) } ]
   in
   Alcotest.(check (list string))
     "first poll only starts the clock" []
@@ -236,7 +236,7 @@ let test_watchdog_negative_control () =
 (* Slot reuse must restart the age clock: a NEW operation by the same
    tid (fresh token) is not the old stall. *)
 let test_watchdog_token_reuse () =
-  let t = W.create_t Nbhash.Policy.default 4 in
+  let t = W.create ~max_threads:4 () in
   let h = W.register t in
   let announce k =
     let prio = Atomic.fetch_and_add t.W.counter 1 in
@@ -246,7 +246,7 @@ let test_watchdog_token_reuse () =
   in
   let wd =
     Watchdog.create ~max_age_ns:5_000_000
-      [ { Watchdog.name = "reuse"; pending = (fun () -> W.announced t) } ]
+      [ { Watchdog.name = "reuse"; pending = (fun () -> W.pending_ops t) } ]
   in
   let op1 = announce 1 in
   ignore (Watchdog.poll wd);

@@ -22,6 +22,14 @@
       scaffolding instantiates [Table_core.Make] with its slot
       protocol instead of copying RESIZE and INITBUCKET.
 
+   7. the wait-free protocol has one owner per mechanism: the
+      [Empty -> Pending] install CAS of the Figure 6 node
+      ([compare_and_set] on a line naming [Pending]) only in
+      lib/fset/wf_node.ml, and the bakery priority of an announce
+      ([fetch_and_add] on a line naming [prio]) only in
+      lib/hashset/announce.ml — a wait-free table instantiates
+      [Wf_node.Make] and [Announce.Make] instead of copying them.
+
    Matching is done on source text with comments and string literals
    blanked out, so prose mentioning "Mutex" stays legal. The checker
    is deliberately a few dozen lines of string scanning, not a
@@ -156,11 +164,40 @@ let drives_sweep line =
   in
   go 0
 
+let ends_with file suffix =
+  let n = String.length file and m = String.length suffix in
+  n >= m && String.sub file (n - m) m = suffix
+
 let sweep_owner = "lib/hashset/table_core.ml"
 
-let owns_sweep file =
-  let n = String.length file and m = String.length sweep_owner in
-  n >= m && String.sub file (n - m) m = sweep_owner
+(* Does [line] contain the identifier [tok], possibly module-qualified
+   ([Node.Pending])? Unlike [mentions], a '.' before it is fine. *)
+let has_token line tok =
+  let n = String.length line and m = String.length tok in
+  let rec go i =
+    if i + m > n then false
+    else if
+      String.sub line i m = tok
+      && (i = 0 || not (is_ident_char line.[i - 1]))
+      && (i + m >= n || not (is_ident_char line.[i + m]))
+    then true
+    else go (i + 1)
+  in
+  go 0
+
+(* Rule 7: each wait-free mechanism, its identifying line, its one
+   owner, and what to do instead of copying it. *)
+let wait_free_owners =
+  [
+    ( (fun l -> has_token l "compare_and_set" && has_token l "Pending"),
+      "lib/fset/wf_node.ml",
+      "the Empty -> Pending install CAS of the wait-free node",
+      "instantiate Wf_node.Make with a payload" );
+    ( (fun l -> has_token l "fetch_and_add" && has_token l "prio"),
+      "lib/hashset/announce.ml",
+      "drawing a bakery priority for an announce",
+      "instantiate Announce.Make with a slot protocol" );
+  ]
 
 let shim_alias = "module Atomic = Nbhash_util.Nb_atomic"
 
@@ -216,7 +253,7 @@ let check_source ~file src =
                @analyze, resolves the rest)";
           }
           :: !violations;
-      if drives_sweep l && not (owns_sweep file) then
+      if drives_sweep l && not (ends_with file sweep_owner) then
         violations :=
           {
             file;
@@ -227,6 +264,17 @@ let check_source ~file src =
                  instead of copying the HNode scaffolding";
           }
           :: !violations;
+      List.iter
+        (fun (matches, owner, what, instead) ->
+          if matches l && not (ends_with file owner) then
+            violations :=
+              {
+                file;
+                line;
+                rule = what ^ " belongs only in " ^ owner ^ " — " ^ instead;
+              }
+              :: !violations)
+        wait_free_owners;
       if mentions l "Atomic" then
         (* ignore the alias declaration itself *)
         if not (mentions l "Nb_atomic") then uses_atomic := true)
