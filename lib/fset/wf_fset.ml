@@ -8,15 +8,21 @@ module Make (E : Elems.S) : Fset_intf.WF = struct
   end)
 
   type op = unit Node.op
-  type t = { node : unit Node.slot Atomic.t; flag : bool Atomic.t }
+  (* The node and its freeze-intent flag, each in a 1-slot array: the
+     cell layout of the tables' HNodes, so one node protocol serves
+     both. *)
+  type t = {
+    node : unit Node.slot Atomic.Array.t;
+    flag : Atomic.Int_array.t;
+  }
 
   let id = "wf-" ^ E.id
   let infinity_prio = Node.infinity_prio
 
   let create elems =
     {
-      node = Atomic.make (Node.fresh (E.of_array elems));
-      flag = Atomic.make false;
+      node = Atomic.Array.make 1 (Node.fresh (E.of_array elems));
+      flag = Atomic.Int_array.make 1 0;
     }
 
   let make_op = Node.make_op
@@ -30,15 +36,15 @@ module Make (E : Elems.S) : Fset_intf.WF = struct
     let prev = Node.op_result op in
     match op.action with Fset_intf.Ins -> not prev | Fset_intf.Rem -> prev
 
-  let invoke t op = Node.invoke ~flag:t.flag t.node op
-  let freeze t = E.to_array (Node.freeze ~flag:t.flag t.node)
-  let has_member t k = Node.member (Atomic.get t.node) k
-  let elements t = E.to_array (Node.contents (Atomic.get t.node))
+  let invoke t op = Node.invoke ~flags:t.flag t.node 0 op
+  let freeze t = E.to_array (Node.freeze ~flags:t.flag t.node 0)
+  let has_member t k = Node.member (Atomic.Array.get t.node 0) k
+  let elements t = E.to_array (Node.contents (Atomic.Array.get t.node 0))
 
   let size t =
-    match Atomic.get t.node with
+    match Atomic.Array.get t.node 0 with
     | Node.N n -> E.length n.elems
     | Node.Uninit -> assert false
 
-  let is_frozen t = Node.is_frozen (Atomic.get t.node)
+  let is_frozen t = Node.is_frozen (Atomic.Array.get t.node 0)
 end

@@ -12,6 +12,11 @@
     be replaced (replacement requires a completed [Pending]), so a
     freeze is permanent.
 
+    A node lives in slot [i] of a flat {!Atomic.Array} of cells, its
+    freeze-intent flag in slot [i] of an {!Atomic.Int_array} (0 down,
+    1 raised): a table's HNode keeps every bucket's node and flag in
+    two such blocks, and a standalone FSet holds 1-slot arrays.
+
     The functor is parameterised only by the payload: what a node
     holds and how an operation transforms it. Its types are
     transparent, so a table's lookup hot path can match [N n] and
@@ -83,8 +88,8 @@ module Make (P : PAYLOAD) = struct
 
   type 'v word = Empty | Frozen | Pending of 'v op
 
-  (* What a node atomic holds. [Uninit] is the nil bucket of the
-     tables; an FSet object's own atomic never holds it. *)
+  (* What a node cell holds. [Uninit] is the nil bucket of the
+     tables; an FSet object's own cell never holds it. *)
   type 'v slot = Uninit | N of { elems : 'v P.elems; op : 'v word Atomic.t }
 
   let make_op action key ~prio =
@@ -98,12 +103,12 @@ module Make (P : PAYLOAD) = struct
   let op_is_done op = op_prio op = infinity_prio
   let fresh elems = N { elems; op = Atomic.make Empty }
 
-  (* Complete the pending operation of the node in [cell], if any. All
+  (* Complete the pending operation of the node in cell [i], if any. All
      helpers compute the same (result, entries) from the same
      immutable (node, op) pair, so the racy writes below are
      idempotent; the node CAS succeeds for exactly one helper. *)
-  let help_finish cell =
-    match Atomic.get cell with
+  let help_finish cells i =
+    match Atomic.Array.get cells i with
     | Uninit -> ()
     | N n as cur -> (
       match Atomic.get n.op with
@@ -113,13 +118,13 @@ module Make (P : PAYLOAD) = struct
         let elems = P.apply n.elems op.key op.action ~prev in
         Atomic.set op.result prev;
         Atomic.set op.prio infinity_prio;
-        ignore (Atomic.compare_and_set cell cur (fresh elems))
+        ignore (Atomic.Array.compare_and_set cells i cur (fresh elems))
         [@nbhash.cas_ok
           "helping: all helpers derive the same successor node from the \
            same immutable (node, op) pair; exactly one CAS installs it"])
 
-  let rec do_freeze cell =
-    match Atomic.get cell with
+  let rec do_freeze cells i =
+    match Atomic.Array.get cells i with
     | Uninit -> assert false
     | N n -> (
       match Atomic.get n.op with
@@ -131,32 +136,35 @@ module Make (P : PAYLOAD) = struct
         end
         else begin
           Tm.cas_retry site_freeze;
-          do_freeze cell
+          do_freeze cells i
         end
       | Pending _ ->
-        help_finish cell;
-        do_freeze cell)
+        help_finish cells i;
+        do_freeze cells i)
 
   (* FREEZE: raise the intent flag so in-flight invokers stand down,
      then latch [Frozen]; returns the final entries. *)
-  let freeze ~flag cell =
-    Atomic.set flag true;
-    do_freeze cell
+  let freeze ~flags cells i =
+    ignore (Atomic.Int_array.compare_and_set flags i 0 1)
+    [@nbhash.cas_ok
+      "one-way 0 -> 1: a lost CAS means another freezer already raised \
+       the flag"];
+    do_freeze cells i
 
   (* INVOKE: [true] once [op] is applied (by anyone); [false] when the
      node froze first and [op] was not applied. A raised [flag] makes
      a pending freeze win over new operations. *)
-  let rec invoke ~flag cell op =
+  let rec invoke ~flags cells i op =
     if op_is_done op then true
     else begin
-      match Atomic.get cell with
+      match Atomic.Array.get cells i with
       | Uninit -> assert false
       | N n -> (
         match Atomic.get n.op with
         | Frozen -> op_is_done op
         | Empty | Pending _ ->
-          if Atomic.get flag then begin
-            ignore (do_freeze cell);
+          if Atomic.Int_array.get flags i <> 0 then begin
+            ignore (do_freeze cells i);
             op_is_done op
           end
           else begin
@@ -164,17 +172,17 @@ module Make (P : PAYLOAD) = struct
             | Empty ->
               if op_is_done op then true
               else if Atomic.compare_and_set n.op Empty (Pending op) then begin
-                help_finish cell;
+                help_finish cells i;
                 true
               end
               else begin
                 Tm.cas_retry site_invoke;
-                invoke ~flag cell op
+                invoke ~flags cells i op
               end
             | Frozen -> op_is_done op
             | Pending _ ->
-              help_finish cell;
-              invoke ~flag cell op
+              help_finish cells i;
+              invoke ~flags cells i op
           end)
     end
 

@@ -57,23 +57,24 @@ module Make (K : Hashtbl.HashedType) = struct
     let fresh pairs = Node { pairs; ok = true }
     let make_side _ = ()
 
-    let rec freeze_slot slot =
-      match Atomic.get slot with
+    let rec freeze_slot buckets i =
+      match Atomic.Array.get buckets i with
       | Uninit -> assert false
       | Node n as cur ->
         if not n.ok then n.pairs
         else if
-          Atomic.compare_and_set slot cur (Node { pairs = n.pairs; ok = false })
+          Atomic.Array.compare_and_set buckets i cur
+            (Node { pairs = n.pairs; ok = false })
         then begin
           Tm.emit Ev.Freeze;
           n.pairs
         end
         else begin
           Tm.cas_retry site_freeze;
-          freeze_slot slot
+          freeze_slot buckets i
         end
 
-    let freeze () buckets j = freeze_slot buckets.(j)
+    let freeze () buckets j = freeze_slot buckets j
     let hash ((k, _) : 'v elt) = hash k
     let same_key ((a, _) : 'v elt) ((b, _) : 'v elt) = K.equal a b
 
@@ -100,8 +101,8 @@ module Make (K : Hashtbl.HashedType) = struct
   let rec with_bucket t k hk step =
     let hn = Atomic.get t.Core.head in
     let i = hk land hn.Core.mask in
-    let slot = hn.Core.buckets.(i) in
-    match Atomic.get slot with
+    let buckets = hn.Core.buckets in
+    match Atomic.Array.get buckets i with
     | Uninit ->
       Core.init_bucket hn i;
       with_bucket t k hk step
@@ -115,8 +116,10 @@ module Make (K : Hashtbl.HashedType) = struct
         match replacement with
         | None -> report
         | Some pairs ->
-          if Atomic.compare_and_set slot cur (Node { pairs; ok = true }) then
-            report
+          if
+            Atomic.Array.compare_and_set buckets i cur
+              (Node { pairs; ok = true })
+          then report
           else begin
             Tm.cas_retry site_update;
             with_bucket t k hk step
@@ -157,7 +160,7 @@ module Make (K : Hashtbl.HashedType) = struct
     let hk = hash k in
     let hn = Atomic.get h.Core.table.Core.head in
     let pairs =
-      match Atomic.get hn.Core.buckets.(hk land hn.Core.mask) with
+      match Atomic.Array.get hn.Core.buckets (hk land hn.Core.mask) with
       | Node n -> n.pairs
       | Uninit -> Slot.contents (Core.lookup_slot hn hk)
     in

@@ -45,23 +45,24 @@ module Make (K : Hashtbl.HashedType) = struct
     let fresh elems = Node { elems; ok = true }
     let make_side _ = ()
 
-    let rec freeze_slot slot =
-      match Atomic.get slot with
+    let rec freeze_slot buckets i =
+      match Atomic.Array.get buckets i with
       | Uninit -> assert false
       | Node n as cur ->
         if not n.ok then n.elems
         else if
-          Atomic.compare_and_set slot cur (Node { elems = n.elems; ok = false })
+          Atomic.Array.compare_and_set buckets i cur
+            (Node { elems = n.elems; ok = false })
         then begin
           Tm.emit Ev.Freeze;
           n.elems
         end
         else begin
           Tm.cas_retry site_freeze;
-          freeze_slot slot
+          freeze_slot buckets i
         end
 
-    let freeze () buckets j = freeze_slot buckets.(j)
+    let freeze () buckets j = freeze_slot buckets j
 
     let split elems ~mask ~target =
       let keep k = hash k land mask = target in
@@ -90,8 +91,8 @@ module Make (K : Hashtbl.HashedType) = struct
   let rec run_op t kind k h =
     let hn = Atomic.get t.Core.head in
     let i = h land hn.Core.mask in
-    let slot = hn.Core.buckets.(i) in
-    match Atomic.get slot with
+    let buckets = hn.Core.buckets in
+    match Atomic.Array.get buckets i with
     | Uninit ->
       Core.init_bucket hn i;
       run_op t kind k h
@@ -106,7 +107,7 @@ module Make (K : Hashtbl.HashedType) = struct
         | Add ->
           if present then false
           else if
-            Atomic.compare_and_set slot cur
+            Atomic.Array.compare_and_set buckets i cur
               (Node { elems = add_elems n.elems k; ok = true })
           then true
           else begin
@@ -116,7 +117,7 @@ module Make (K : Hashtbl.HashedType) = struct
         | Del ->
           if not present then false
           else if
-            Atomic.compare_and_set slot cur
+            Atomic.Array.compare_and_set buckets i cur
               (Node { elems = remove_elems n.elems k; ok = true })
           then true
           else begin
@@ -140,7 +141,7 @@ module Make (K : Hashtbl.HashedType) = struct
   let mem h k =
     let hk = hash k in
     let hn = Atomic.get h.Core.table.Core.head in
-    match Atomic.get hn.Core.buckets.(hk land hn.Core.mask) with
+    match Atomic.Array.get hn.Core.buckets (hk land hn.Core.mask) with
     | Node n -> mem_elems n.elems k
     | Uninit -> mem_elems (Slot.contents (Core.lookup_slot hn hk)) k
 

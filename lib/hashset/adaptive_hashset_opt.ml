@@ -43,7 +43,7 @@ let contains h k =
   Hashset_intf.check_key k;
   let hn = Atomic.get h.A.table.A.core.A.Core.head in
   let s =
-    match Atomic.get hn.A.Core.buckets.(k land hn.A.Core.mask) with
+    match Atomic.Array.get hn.A.Core.buckets (k land hn.A.Core.mask) with
     | Node.Uninit -> A.Core.lookup_slot hn k
     | s -> s
   in

@@ -40,9 +40,10 @@ module type PROTOCOL = sig
 
   val op_result : 'v op -> 'v result
 
-  val invoke : side -> 'v slot Atomic.t array -> int -> 'v op -> bool
-  (** INVOKE on the initialized bucket [i] of an HNode: [true] once
-      the operation is applied, [false] if the bucket froze first. *)
+  val invoke : side -> 'v slot Atomic.Array.t -> int -> 'v op -> bool
+  (** [invoke side buckets i op]: INVOKE on the initialized bucket [i]
+      of an HNode: [true] once the operation is applied, [false] if
+      the bucket froze first. *)
 end
 
 module Make (P : PROTOCOL) = struct
@@ -243,7 +244,8 @@ module Over_fset (F : Nbhash_fset.Fset_intf.WF) = struct
     let op_key = F.op_key
     let op_prio = F.op_prio
     let op_result = F.get_response
-    let invoke () buckets i op = F.invoke (get (Atomic.get buckets.(i))) op
+    let invoke () buckets i op =
+      F.invoke (get (Atomic.Array.get buckets i)) op
   end
 
   include Make (Protocol)
@@ -252,15 +254,15 @@ module Over_fset (F : Nbhash_fset.Fset_intf.WF) = struct
      needs no announcement. *)
   let contains h k =
     let hn = Atomic.get h.table.core.Core.head in
-    match Atomic.get hn.Core.buckets.(k land hn.Core.mask) with
+    match Atomic.Array.get hn.Core.buckets (k land hn.Core.mask) with
     | Some b -> F.has_member b k
     | None -> F.has_member (Protocol.get (Core.lookup_slot hn k)) k
 end
 
-(** The tables whose bucket atomics hold the Figure 6 node itself
+(** The tables whose bucket slots hold the Figure 6 node itself
     (AdaptiveOpt, Wf_hashmap): the LFArrayOpt flattening of section 8,
-    with the per-bucket freeze-intent flags in a side array of the
-    HNode. *)
+    with the per-bucket freeze-intent flags in a flat
+    {!Atomic.Int_array} side block of the HNode. *)
 module Over_nodes
     (K : Table_core.KEYS)
     (P : Nbhash_fset.Wf_node.PAYLOAD with type 'v elems = 'v K.elt array) =
@@ -271,15 +273,15 @@ struct
     include K
 
     type 'v slot = 'v Node.slot
-    type side = bool Atomic.t array
+    type side = Atomic.Int_array.t
     type 'v op = 'v Node.op
     type 'v action = 'v P.action
     type 'v result = 'v P.result
 
     let uninit = Node.Uninit
     let fresh = Node.fresh
-    let make_side size = Array.init size (fun _ -> Atomic.make false)
-    let freeze flags buckets i = Node.freeze ~flag:flags.(i) buckets.(i)
+    let make_side size = Atomic.Int_array.make size 0
+    let freeze flags buckets i = Node.freeze ~flags buckets i
 
     let size = function
       | Node.N n -> Array.length n.elems
@@ -293,7 +295,7 @@ struct
     let op_key (op : 'v op) = op.key
     let op_prio = Node.op_prio
     let op_result = Node.op_result
-    let invoke flags buckets i op = Node.invoke ~flag:flags.(i) buckets.(i) op
+    let invoke flags buckets i op = Node.invoke ~flags buckets i op
   end
 
   include Make (Protocol)

@@ -19,23 +19,24 @@ module Slot = struct
   let fresh pairs = Node { pairs; ok = true }
   let make_side _ = ()
 
-  let rec freeze_slot slot =
-    match Atomic.get slot with
+  let rec freeze_slot buckets i =
+    match Atomic.Array.get buckets i with
     | Uninit -> assert false
     | Node n as cur ->
       if not n.ok then n.pairs
       else if
-        Atomic.compare_and_set slot cur (Node { pairs = n.pairs; ok = false })
+        Atomic.Array.compare_and_set buckets i cur
+          (Node { pairs = n.pairs; ok = false })
       then begin
         Tm.emit Ev.Freeze;
         n.pairs
       end
       else begin
         Tm.cas_retry site_freeze;
-        freeze_slot slot
+        freeze_slot buckets i
       end
 
-  let freeze () buckets j = freeze_slot buckets.(j)
+  let freeze () buckets j = freeze_slot buckets j
   let contents = function Uninit -> assert false | Node n -> n.pairs
   let size s = Array.length (contents s)
   let is_frozen = function Uninit -> assert false | Node n -> not n.ok
@@ -57,8 +58,8 @@ let unregister = Core.unregister
 let rec with_bucket t k step =
   let hn = Atomic.get t.Core.head in
   let i = k land hn.Core.mask in
-  let slot = hn.Core.buckets.(i) in
-  match Atomic.get slot with
+  let buckets = hn.Core.buckets in
+  match Atomic.Array.get buckets i with
   | Uninit ->
     Core.init_bucket hn i;
     with_bucket t k step
@@ -72,8 +73,10 @@ let rec with_bucket t k step =
       match replacement with
       | None -> report
       | Some pairs ->
-        if Atomic.compare_and_set slot cur (Node { pairs; ok = true }) then
-          report
+        if
+          Atomic.Array.compare_and_set buckets i cur
+            (Node { pairs; ok = true })
+        then report
         else begin
           Tm.cas_retry site_update;
           with_bucket t k step
@@ -117,7 +120,7 @@ let get h k =
   Hashset_intf.check_key k;
   let hn = Atomic.get h.Core.table.Core.head in
   let pairs =
-    match Atomic.get hn.Core.buckets.(k land hn.Core.mask) with
+    match Atomic.Array.get hn.Core.buckets (k land hn.Core.mask) with
     | Node n -> n.pairs
     | Uninit -> Slot.contents (Core.lookup_slot hn k)
   in

@@ -24,7 +24,7 @@ module Make (F : Nbhash_fset.Fset_intf.S) : Hashset_intf.S = struct
   let rec apply t op k =
     let hn = Atomic.get t.Core.head in
     let i = k land hn.Core.mask in
-    match Atomic.get hn.Core.buckets.(i) with
+    match Atomic.Array.get hn.Core.buckets i with
     | None ->
       Core.init_bucket hn i;
       apply t op k
@@ -55,7 +55,7 @@ module Make (F : Nbhash_fset.Fset_intf.S) : Hashset_intf.S = struct
   let contains h k =
     Hashset_intf.check_key k;
     let hn = Atomic.get h.Core.table.Core.head in
-    match Atomic.get hn.Core.buckets.(k land hn.Core.mask) with
+    match Atomic.Array.get hn.Core.buckets (k land hn.Core.mask) with
     | Some b -> F.has_member b k
     | None -> F.has_member (Slot.get (Core.lookup_slot hn k)) k
 

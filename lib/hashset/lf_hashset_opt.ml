@@ -25,23 +25,24 @@ module Slot = struct
   let make_side _ = ()
 
   (* FREEZE on a flattened bucket: CAS the ok bit off in place. *)
-  let rec freeze_slot slot =
-    match Atomic.get slot with
+  let rec freeze_slot buckets i =
+    match Atomic.Array.get buckets i with
     | Uninit -> assert false
     | Node n as cur ->
       if not n.ok then n.elems
       else if
-        Atomic.compare_and_set slot cur (Node { elems = n.elems; ok = false })
+        Atomic.Array.compare_and_set buckets i cur
+          (Node { elems = n.elems; ok = false })
       then begin
         Tm.emit Ev.Freeze;
         n.elems
       end
       else begin
         Tm.cas_retry site_freeze;
-        freeze_slot slot
+        freeze_slot buckets i
       end
 
-  let freeze () buckets j = freeze_slot buckets.(j)
+  let freeze () buckets j = freeze_slot buckets j
   let contents = function Uninit -> assert false | Node n -> n.elems
   let size s = Array.length (contents s)
   let is_frozen = function Uninit -> assert false | Node n -> not n.ok
@@ -68,8 +69,8 @@ let unregister = Core.unregister
 let rec run_op t kind k =
   let hn = Atomic.get t.Core.head in
   let i = k land hn.Core.mask in
-  let slot = hn.Core.buckets.(i) in
-  match Atomic.get slot with
+  let buckets = hn.Core.buckets in
+  match Atomic.Array.get buckets i with
   | Uninit ->
     Core.init_bucket hn i;
     run_op t kind k
@@ -84,7 +85,7 @@ let rec run_op t kind k =
       | Nbhash_fset.Fset_intf.Ins ->
         if present then false
         else if
-          Atomic.compare_and_set slot cur
+          Atomic.Array.compare_and_set buckets i cur
             (Node { elems = Intset.add n.elems k; ok = true })
         then true
         else begin
@@ -94,7 +95,7 @@ let rec run_op t kind k =
       | Nbhash_fset.Fset_intf.Rem ->
         if not present then false
         else if
-          Atomic.compare_and_set slot cur
+          Atomic.Array.compare_and_set buckets i cur
             (Node { elems = Intset.remove n.elems k; ok = true })
         then true
         else begin
@@ -120,7 +121,7 @@ let remove h k =
 let contains h k =
   Hashset_intf.check_key k;
   let hn = Atomic.get h.Core.table.Core.head in
-  match Atomic.get hn.Core.buckets.(k land hn.Core.mask) with
+  match Atomic.Array.get hn.Core.buckets (k land hn.Core.mask) with
   | Node n -> Intset.mem n.elems k
   | Uninit -> Intset.mem (Slot.contents (Core.lookup_slot hn k)) k
 

@@ -16,7 +16,13 @@
     new bucket is installed by CAS, an abstract-state-preserving
     step.
 
-    The variants differ only in what a bucket atomic holds — an FSet
+    An HNode's buckets are one flat {!Atomic.Array} block of slot
+    words, as Figure 2's one [buckets] array of FSet pointers: a new
+    HNode costs one block, not a boxed [Atomic.t] per bucket (which,
+    once the array is in the major heap, is a major-to-minor pointer
+    per bucket for the next minor collection to remember and promote).
+
+    The variants differ only in what a bucket slot holds — an FSet
     object, a flattened copy-on-write node, a wait-free node with its
     operation slot, with integer keys, pairs or generic keys — which is
     the {!SLOT} signature below. Each variant keeps its slot protocol
@@ -47,12 +53,12 @@ module type KEYS = sig
   val same_key : 'v elt -> 'v elt -> bool
 end
 
-(** What one bucket atomic holds. *)
+(** What one bucket slot holds. *)
 module type SLOT = sig
   include KEYS
 
   type 'v slot
-  (** The value stored directly in a bucket atomic. *)
+  (** The value stored directly in a bucket slot. *)
 
   type side
   (** Per-HNode side state, built with the HNode: the freeze-intent
@@ -69,9 +75,10 @@ module type SLOT = sig
   val make_side : int -> side
   (** [make_side size] for an HNode of [size] buckets. *)
 
-  val freeze : side -> 'v slot Atomic.t array -> int -> 'v elt array
-  (** FREEZE bucket [j] of a predecessor HNode (never uninitialized)
-      and return its final entries. Idempotent. *)
+  val freeze : side -> 'v slot Atomic.Array.t -> int -> 'v elt array
+  (** [freeze side buckets j]: FREEZE bucket [j] of a predecessor
+      HNode (never uninitialized) and return its final entries.
+      Idempotent. *)
 
   val size : 'v slot -> int
   (** Entry count of an initialized slot, for the resize triggers. *)
@@ -106,7 +113,7 @@ module Fset_slot (F : Nbhash_fset.Fset_intf.CORE) = struct
   let fresh elems = Some (F.create elems)
   let make_side _ = ()
   let get = function Some b -> b | None -> assert false
-  let freeze () buckets j = F.freeze (get (Atomic.get buckets.(j)))
+  let freeze () buckets j = F.freeze (get (Atomic.Array.get buckets j))
   let size s = F.size (get s)
   let contents s = F.elements (get s)
   let is_frozen s = F.is_frozen (get s)
@@ -117,7 +124,7 @@ module Make (S : SLOT) = struct
   module Ev = Nbhash_telemetry.Event
 
   type 'v hnode = {
-    buckets : 'v S.slot Atomic.t array;
+    buckets : 'v S.slot Atomic.Array.t;
     side : S.side;
     size : int;
     mask : int;
@@ -147,7 +154,7 @@ module Make (S : SLOT) = struct
 
   let make_hnode ~size ~pred =
     {
-      buckets = Array.init size (fun _ -> Atomic.make S.uninit);
+      buckets = Atomic.Array.make size S.uninit;
       side = S.make_side size;
       size;
       mask = size - 1;
@@ -161,7 +168,9 @@ module Make (S : SLOT) = struct
   let create policy =
     Policy.validate policy;
     let hn = make_hnode ~size:policy.Policy.init_buckets ~pred:None in
-    Array.iter (fun b -> Atomic.set b (S.fresh [||])) hn.buckets;
+    for i = 0 to hn.size - 1 do
+      Atomic.Array.set_private hn.buckets i (S.fresh [||])
+    done;
     {
       head = Atomic.make hn;
       policy;
@@ -188,7 +197,7 @@ module Make (S : SLOT) = struct
      bucket, and on a pred-less HNode (whose buckets are all
      initialized, Invariant 11). *)
   let init_bucket hn i =
-    if Atomic.get hn.buckets.(i) == S.uninit then
+    if Atomic.Array.get hn.buckets i == S.uninit then
       match Atomic.get hn.pred with
       | None -> ()
       | Some s ->
@@ -202,7 +211,7 @@ module Make (S : SLOT) = struct
               (S.freeze s.side s.buckets i)
               (S.freeze s.side s.buckets (i + hn.size))
         in
-        if Atomic.compare_and_set hn.buckets.(i) S.uninit (S.fresh elems)
+        if Atomic.Array.compare_and_set hn.buckets i S.uninit (S.fresh elems)
         then begin
           (* Only the installing thread accounts the migration, so the
              keys_migrated total equals the table cardinality after one
@@ -220,8 +229,8 @@ module Make (S : SLOT) = struct
   let lookup_slot hn h =
     Tm.emit_arg Ev.Contains_pred h;
     match Atomic.get hn.pred with
-    | Some s -> Atomic.get s.buckets.(h land s.mask)
-    | None -> Atomic.get hn.buckets.(h land hn.mask)
+    | Some s -> Atomic.Array.get s.buckets (h land s.mask)
+    | None -> Atomic.Array.get hn.buckets (h land hn.mask)
 
   (* Cooperative sweep plumbing: migrating bucket [i] is exactly the
      idempotent lazy step, and completing the sweep discharges
@@ -305,7 +314,7 @@ module Make (S : SLOT) = struct
      (forcing their migration just to measure them would defeat
      laziness). *)
   let bucket_size_at hn i =
-    let b = Atomic.get hn.buckets.(i) in
+    let b = Atomic.Array.get hn.buckets i in
     if b == S.uninit then 0 else S.size b
 
   (* Policy plumbing run after every update: count the change, help
@@ -341,16 +350,16 @@ module Make (S : SLOT) = struct
      the predecessor's entries otherwise. Exact in quiescent
      states. *)
   let bucket_set hn i =
-    let b = Atomic.get hn.buckets.(i) in
+    let b = Atomic.Array.get hn.buckets i in
     if b != S.uninit then S.contents b
     else
       match Atomic.get hn.pred with
       | Some s ->
-        let pred j = S.contents (Atomic.get s.buckets.(j)) in
+        let pred j = S.contents (Atomic.Array.get s.buckets j) in
         if hn.size = s.size * 2 then
           S.split (pred (i land s.mask)) ~mask:hn.mask ~target:i
         else S.merge (pred i) (pred (i + hn.size))
-      | None -> S.contents (Atomic.get hn.buckets.(i))
+      | None -> S.contents (Atomic.Array.get hn.buckets i)
 
   let elements t =
     let hn = Atomic.get t.head in
@@ -378,16 +387,18 @@ module Make (S : SLOT) = struct
     let sizes = Array.init hn.size (fun i -> Array.length (bucket_set hn i)) in
     let initialized = ref 0 in
     let frozen = ref 0 in
-    let scan ~head b =
-      let s = Atomic.get b in
-      if s != S.uninit then begin
-        if head then incr initialized;
-        if S.is_frozen s then incr frozen
-      end
+    let scan ~head h =
+      for i = 0 to h.size - 1 do
+        let s = Atomic.Array.get h.buckets i in
+        if s != S.uninit then begin
+          if head then incr initialized;
+          if S.is_frozen s then incr frozen
+        end
+      done
     in
-    Array.iter (scan ~head:true) hn.buckets;
+    scan ~head:true hn;
     let pred = Atomic.get hn.pred in
-    Option.iter (fun s -> Array.iter (scan ~head:false) s.buckets) pred;
+    Option.iter (scan ~head:false) pred;
     let migrating = pred <> None in
     Hashset_intf.make_view ~sizes ~frozen_buckets:!frozen ~migrating
       ~migration_progress:
@@ -403,41 +414,39 @@ module Make (S : SLOT) = struct
   let check_invariants t =
     let hn = Atomic.get t.head in
     let pred = Atomic.get hn.pred in
-    let uninit b = Atomic.get b == S.uninit in
+    let slot h i = Atomic.Array.get h.buckets i in
     (match pred with
     | Some s ->
       if hn.size <> s.size * 2 && hn.size * 2 <> s.size then
         fail "head size %d not double or half of pred size %d" hn.size s.size;
-      Array.iteri
-        (fun j b -> if uninit b then fail "pred bucket %d is nil" j)
-        s.buckets
+      for j = 0 to s.size - 1 do
+        if slot s j == S.uninit then fail "pred bucket %d is nil" j
+      done
     | None ->
-      Array.iteri
-        (fun i b ->
-          if uninit b then
-            fail "bucket %d nil in a table without predecessor" i)
-        hn.buckets);
-    let frozen s j = S.is_frozen (Atomic.get s.buckets.(j)) in
-    Array.iteri
-      (fun i b ->
-        let slot = Atomic.get b in
-        if slot != S.uninit then begin
-          Array.iter
-            (fun e ->
-              if S.hash e land hn.mask <> i then
-                fail "key hashed to %d misplaced in bucket %d of %d"
-                  (S.hash e) i hn.size)
-            (S.contents slot);
-          match pred with
-          | Some s when hn.size = s.size * 2 ->
-            if not (frozen s (i land s.mask)) then
-              fail "predecessor of initialized bucket %d is not frozen" i
-          | Some s ->
-            if not (frozen s i && frozen s (i + hn.size)) then
-              fail "predecessors of initialized bucket %d are not frozen" i
-          | None -> ()
-        end)
-      hn.buckets;
+      for i = 0 to hn.size - 1 do
+        if slot hn i == S.uninit then
+          fail "bucket %d nil in a table without predecessor" i
+      done);
+    let frozen s j = S.is_frozen (slot s j) in
+    for i = 0 to hn.size - 1 do
+      let b = slot hn i in
+      if b != S.uninit then begin
+        Array.iter
+          (fun e ->
+            if S.hash e land hn.mask <> i then
+              fail "key hashed to %d misplaced in bucket %d of %d" (S.hash e)
+                i hn.size)
+          (S.contents b);
+        match pred with
+        | Some s when hn.size = s.size * 2 ->
+          if not (frozen s (i land s.mask)) then
+            fail "predecessor of initialized bucket %d is not frozen" i
+        | Some s ->
+          if not (frozen s i && frozen s (i + hn.size)) then
+            fail "predecessors of initialized bucket %d are not frozen" i
+        | None -> ()
+      end
+    done;
     let all = elements t in
     let seen = Hashtbl.create (Array.length all) in
     Array.iter

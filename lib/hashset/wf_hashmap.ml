@@ -60,7 +60,7 @@ let get h k =
   Hashset_intf.check_key k;
   let hn = Atomic.get h.A.table.A.core.A.Core.head in
   let s =
-    match Atomic.get hn.A.Core.buckets.(k land hn.A.Core.mask) with
+    match Atomic.Array.get hn.A.Core.buckets (k land hn.A.Core.mask) with
     | Node.Uninit -> A.Core.lookup_slot hn k
     | s -> s
   in

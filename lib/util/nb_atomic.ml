@@ -16,6 +16,9 @@ type 'a t = 'a Stdlib.Atomic.t
 (* One word per slot, immediates only; see nb_atomic_stubs.c. *)
 type int_array = int array
 
+(* One word per slot, any value; a tag-0 block even for floats. *)
+type 'a atomic_array = 'a array
+
 module type INT_ARRAY = sig
   type t = int_array
 
@@ -24,6 +27,16 @@ module type INT_ARRAY = sig
   val get : t -> int -> int
   val compare_and_set : t -> int -> int -> int -> bool
   val set_private : t -> int -> int -> unit
+end
+
+module type ARRAY = sig
+  type 'a t = 'a atomic_array
+
+  val make : int -> 'a -> 'a t
+  val length : 'a t -> int
+  val get : 'a t -> int -> 'a
+  val compare_and_set : 'a t -> int -> 'a -> 'a -> bool
+  val set_private : 'a t -> int -> 'a -> unit
 end
 
 module type ATOMIC = sig
@@ -39,6 +52,7 @@ module type ATOMIC = sig
   val decr : int t -> unit
 
   module Int_array : INT_ARRAY
+  module Array : ARRAY
 end
 
 (* Operation labels, carried by the [Step] effect so counterexample
@@ -54,21 +68,55 @@ let label_to_string = function
 
 type _ Effect.t += Step : label -> unit Effect.t
 
-external int_array_get : int array -> int -> int = "nbhash_int_array_get"
+(* Raised only by the model checker, single-domain, around each
+   explored execution; never written while real domains run, so the
+   plain ref is race-free in production. *)
+let tracing = ref false
+
+(* The slot stubs of the two flat arrays (nb_atomic_stubs.c). One
+   seq_cst load serves both: it reads a word, whatever the word holds.
+   The CASes differ: an int slot never holds a pointer, so its CAS
+   skips the write barrier that a value slot's CAS must take. *)
+external slot_get : 'a array -> int -> 'a = "nbhash_int_array_get"
 [@@noalloc]
 
 external int_array_cas : int array -> int -> int -> int -> bool
   = "nbhash_int_array_cas"
 [@@noalloc]
 
-let[@inline] check_index a i =
-  if i < 0 || i >= Array.length a then
-    invalid_arg "Nb_atomic.Int_array: index out of bounds"
+external value_array_cas : 'a array -> int -> 'a -> 'a -> bool
+  = "nbhash_value_array_cas"
+[@@noalloc]
 
-(* The backend-independent half of Int_array: allocation, length, and
-   the plain store a node's builder makes while no other thread can
-   see it. The store is not a scheduling point: nothing can observe a
-   private node, so the checker need not interleave its set-up. *)
+external value_array_make : int -> 'a -> 'a array = "nbhash_value_array_make"
+
+(* The scaffolding both flat arrays share: the bounds check, the
+   checker's [Step] before each load and CAS, and the backend switch,
+   as a guard each access runs before its stub. A guard, not a
+   wrapper taking the stub as an argument: without flambda a stub
+   passed as a function value is called through [caml_apply], where
+   after the guard it is a direct call. *)
+module Slots = struct
+  let[@inline] check_index a i =
+    if i < 0 || i >= Array.length a then
+      invalid_arg "Nb_atomic: slot index out of bounds"
+
+  let[@inline] traced_guard label a i =
+    check_index a i;
+    Effect.perform (Step label)
+
+  let[@inline] guard label a i =
+    if !tracing then traced_guard label a i else check_index a i
+end
+
+(* The backend-independent halves: allocation, length, and the plain
+   store a builder makes while no other thread can see the array. The
+   store is not a scheduling point: nothing can observe a private
+   array, so the checker need not interleave its set-up. An int
+   slot's store needs no write barrier; a value slot's does
+   ([caml_modify], the generic array store on a tag-0 block): the
+   array may already be in the major heap when a builder fills it
+   with fresh minor blocks. *)
 module Int_array_base = struct
   type t = int_array
 
@@ -76,7 +124,18 @@ module Int_array_base = struct
   let length = Array.length
 
   let set_private a i v =
-    check_index a i;
+    Slots.check_index a i;
+    Array.unsafe_set a i (v : int)
+end
+
+module Array_base = struct
+  type 'a t = 'a atomic_array
+
+  let make = value_array_make
+  let length = Array.length
+
+  let set_private a i v =
+    Slots.check_index a i;
     Array.unsafe_set a i v
 end
 
@@ -96,13 +155,25 @@ module Real : ATOMIC = struct
   module Int_array = struct
     include Int_array_base
 
-    let[@inline] get a i =
-      check_index a i;
-      int_array_get a i
+    let get a i =
+      Slots.check_index a i;
+      slot_get a i
 
-    let[@inline] compare_and_set a i old nw =
-      check_index a i;
+    let compare_and_set a i old nw =
+      Slots.check_index a i;
       int_array_cas a i old nw
+  end
+
+  module Array = struct
+    include Array_base
+
+    let get a i =
+      Slots.check_index a i;
+      slot_get a i
+
+    let compare_and_set a i old nw =
+      Slots.check_index a i;
+      value_array_cas a i old nw
   end
 end
 
@@ -149,21 +220,26 @@ module Traced : ATOMIC = struct
     include Int_array_base
 
     let get a i =
-      check_index a i;
-      Effect.perform (Step Get);
-      int_array_get a i
+      Slots.traced_guard Get a i;
+      slot_get a i
 
     let compare_and_set a i old nw =
-      check_index a i;
-      Effect.perform (Step Cas);
+      Slots.traced_guard Cas a i;
       int_array_cas a i old nw
   end
-end
 
-(* Raised only by the model checker, single-domain, around each
-   explored execution; never written while real domains run, so the
-   plain ref is race-free in production. *)
-let tracing = ref false
+  module Array = struct
+    include Array_base
+
+    let get a i =
+      Slots.traced_guard Get a i;
+      slot_get a i
+
+    let compare_and_set a i old nw =
+      Slots.traced_guard Cas a i;
+      value_array_cas a i old nw
+  end
+end
 
 let[@inline] make v = Stdlib.Atomic.make v
 let[@inline] get r = if !tracing then Traced.get r else Stdlib.Atomic.get r
@@ -186,16 +262,22 @@ module Int_array = struct
   include Int_array_base
 
   let[@inline] get a i =
-    if !tracing then Traced.Int_array.get a i
-    else begin
-      check_index a i;
-      int_array_get a i
-    end
+    Slots.guard Get a i;
+    slot_get a i
 
   let[@inline] compare_and_set a i old nw =
-    if !tracing then Traced.Int_array.compare_and_set a i old nw
-    else begin
-      check_index a i;
-      int_array_cas a i old nw
-    end
+    Slots.guard Cas a i;
+    int_array_cas a i old nw
+end
+
+module Array = struct
+  include Array_base
+
+  let[@inline] get a i =
+    Slots.guard Get a i;
+    slot_get a i
+
+  let[@inline] compare_and_set a i old nw =
+    Slots.guard Cas a i;
+    value_array_cas a i old nw
 end

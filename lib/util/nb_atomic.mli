@@ -20,7 +20,20 @@ type int_array
     slot in one heap block, where an [int t array] costs a separate
     boxed [Atomic.t] per slot. Loads and CASes are sequentially
     consistent, like the [Atomic.t] operations (C stubs; OCaml 5.1 has
-    no atomic array-field primitive). Slots hold immediates only. *)
+    no atomic array-field primitive). Slots hold immediates only, so
+    a CAS takes no write barrier. *)
+
+type 'a atomic_array
+(** A fixed-length array of atomic values stored flat: one word per
+    slot in one heap block, where an ['a t array] costs a separate
+    2-word [Atomic.t] box per slot (and, for an array in the major
+    heap, one major-to-minor pointer per box that the next minor
+    collection must remember and promote). Loads are the same seq_cst
+    stub as {!int_array}'s; a CAS is the runtime's
+    [caml_atomic_cas_field], the same call and write barrier as
+    [Atomic.compare_and_set]. Always a tag-0 block, never a flat
+    float array, whatever the element type. The table HNodes keep
+    their buckets in one. *)
 
 (** Operations on {!int_array}. Indices are bounds-checked; an index
     outside [\[0, length)] raises [Invalid_argument]. *)
@@ -43,6 +56,30 @@ module type INT_ARRAY = sig
       store. Not a scheduling point of the checker. *)
 end
 
+(** Operations on {!atomic_array}; the same contract as
+    {!INT_ARRAY}, over any element type. Indices are bounds-checked;
+    an index outside [\[0, length)] raises [Invalid_argument]. *)
+module type ARRAY = sig
+  type 'a t = 'a atomic_array
+
+  val make : int -> 'a -> 'a t
+  (** [make n v]: [n] slots, all [v]. A tag-0 block even when [v] is a
+      float (where [Array.make] would build a flat float array). *)
+
+  val length : 'a t -> int
+  val get : 'a t -> int -> 'a
+
+  val compare_and_set : 'a t -> int -> 'a -> 'a -> bool
+  (** [compare_and_set a i old nw] sets slot [i] to [nw] iff it holds
+      [old] (physical equality, as [Atomic.compare_and_set]), and says
+      whether it did. *)
+
+  val set_private : 'a t -> int -> 'a -> unit
+  (** As {!INT_ARRAY.set_private}, but with the write barrier
+      ([caml_modify]): the array may already be in the major heap
+      when its builder fills it with fresh blocks. *)
+end
+
 (** The operations the nonblocking libraries are allowed to use; both
     backends satisfy it over the same representation. *)
 module type ATOMIC = sig
@@ -58,6 +95,7 @@ module type ATOMIC = sig
   val decr : int t -> unit
 
   module Int_array : INT_ARRAY
+  module Array : ARRAY
 end
 
 (** What kind of atomic operation a scheduling point is about to run;
@@ -77,8 +115,9 @@ module Real : ATOMIC
 (** Pass-through [Stdlib.Atomic], no flag check. *)
 
 module Traced : ATOMIC
-(** Always yields {!Step} first (also before each [Int_array] get and
-    CAS); only usable under a handler. *)
+(** Always yields {!Step} first (also before each [Int_array] and
+    [Array] get and CAS, but not their [set_private]); only usable
+    under a handler. *)
 
 val tracing : bool ref
 (** Model-checker hook. Only [Nbhash_check] should flip this, around a
@@ -97,3 +136,4 @@ val incr : int t -> unit
 val decr : int t -> unit
 
 module Int_array : INT_ARRAY
+module Array : ARRAY

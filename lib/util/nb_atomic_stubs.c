@@ -1,13 +1,18 @@
-/* Sequentially consistent access to the slots of an OCaml int array,
-   for Nbhash_util.Nb_atomic.Int_array.
+/* Sequentially consistent access to the slots of a flat OCaml array,
+   for Nbhash_util.Nb_atomic.Int_array and Nb_atomic.Array.
 
    OCaml 5.1 has atomic operations on a whole [Atomic.t] block but no
    primitive for an atomic load or CAS on one field of an array, so an
-   array of atomic ints would otherwise cost a boxed [Atomic.t] per
-   slot. The slots only ever hold immediates (tagged ints), so a CAS
-   never stores a pointer and needs no write barrier, and no stub
-   allocates or raises: both are declared [@@noalloc]. Bounds are
-   checked by the OCaml caller.
+   array of atomics would otherwise cost a boxed [Atomic.t] per slot.
+   Bounds are checked by the OCaml caller.
+
+   Int_array's slots only ever hold immediates (tagged ints), so its
+   CAS never stores a pointer and needs no write barrier. Array's
+   slots hold any value, so its CAS goes through the runtime's
+   [caml_atomic_cas_field]: the very call, write barrier included,
+   that [Atomic.compare_and_set] makes on field 0 of an [Atomic.t].
+   The load is one stub for both (a word is a word). No access stub
+   allocates or raises: all are declared [@@noalloc].
 
    Loads are seq_cst, not plain: the freeze protocol of Flat_fset
    reasons about the order in which a slot's SEAL bit and the node's
@@ -17,6 +22,9 @@
    seq_cst load is a plain MOV and the CAS is LOCK CMPXCHG, exactly
    what [Atomic.get] and [Atomic.compare_and_set] compile to. */
 
+#include <caml/alloc.h>
+#include <caml/fail.h>
+#include <caml/memory.h>
 #include <caml/mlvalues.h>
 
 CAMLprim value nbhash_int_array_get(value arr, value i)
@@ -30,4 +38,28 @@ CAMLprim value nbhash_int_array_cas(value arr, value i, value old, value nw)
   return Val_bool(__atomic_compare_exchange_n(
       &Field(arr, Long_val(i)), &expected, nw, 0, __ATOMIC_SEQ_CST,
       __ATOMIC_SEQ_CST));
+}
+
+CAMLprim value nbhash_value_array_cas(value arr, value i, value old, value nw)
+{
+  return Val_bool(caml_atomic_cas_field(arr, Long_val(i), old, nw));
+}
+
+/* A tag-0 block of [len] slots, all [init]. Unlike [Array.make], never
+   a flat float array (Double_array_tag) when [init] is a float: every
+   slot must be one word the CAS above can swap. Fields are first set
+   to the immediate [Val_unit] by [caml_alloc], so storing [init]
+   through [caml_modify] is right for a minor and a major block
+   alike. */
+CAMLprim value nbhash_value_array_make(value len, value init)
+{
+  CAMLparam1(init);
+  CAMLlocal1(res);
+  intnat n = Long_val(len);
+  if (n < 0 || (uintnat)n > Max_wosize)
+    caml_invalid_argument("Nb_atomic.Array.make");
+  if (n == 0) CAMLreturn(Atom(0));
+  res = caml_alloc(n, 0);
+  for (intnat i = 0; i < n; i++) caml_modify(&Field(res, i), init);
+  CAMLreturn(res);
 }

@@ -113,6 +113,50 @@ let map_budget ~fill_bound ~drain_bound () =
     Alcotest.failf "Wf_hashmap remove: %.1f minor words per call, bound %.0f"
       drain drain_bound
 
+(* The cost of one RESIZE's new HNode: a 64 -> 128 grow of a
+   quiescent presized table, small enough that the new block stays in
+   the minor heap. The buckets are one flat block of 128 slot words
+   (129 words with its header); the wait-free flattened tables add a
+   second one for their freeze-intent flags. The rest (the HNode
+   record, its [pred] atomic, its sweep cursor) is bounded by 48
+   words. A boxed atomic per bucket and per flag would add 2 words
+   each. *)
+let presized_64 = Nbhash.Policy.presized 64
+
+let grow_words ~name ~blocks ~force_resize ~bucket_count =
+  Alcotest.(check int) (name ^ " starts at 64 buckets") 64 (bucket_count ());
+  let bound = float_of_int ((blocks * 128) + 48) in
+  let before = Gc.minor_words () in
+  force_resize ();
+  let w = Gc.minor_words () -. before in
+  if w > bound then
+    Alcotest.failf "%s 64 -> 128 grow: %.0f minor words, bound %.0f" name w
+      bound;
+  Alcotest.(check int) (name ^ " grew") 128 (bucket_count ())
+
+let set_grow (module H : SET) ~blocks () =
+  let t = H.create ~policy:presized_64 () in
+  let h = H.register t in
+  grow_words ~name:H.name ~blocks
+    ~force_resize:(fun () -> H.force_resize h ~grow:true)
+    ~bucket_count:(fun () -> H.bucket_count t)
+
+let hashmap_grow () =
+  let module M = Nbhash.Hashmap in
+  let t = M.create ~policy:presized_64 () in
+  let h = M.register t in
+  grow_words ~name:"Hashmap" ~blocks:1
+    ~force_resize:(fun () -> M.force_resize h ~grow:true)
+    ~bucket_count:(fun () -> M.bucket_count t)
+
+let wf_hashmap_grow () =
+  let module M = Nbhash.Wf_hashmap in
+  let t = M.create ~policy:presized_64 () in
+  let h = M.register t in
+  grow_words ~name:"Wf_hashmap" ~blocks:2
+    ~force_resize:(fun () -> M.force_resize h ~grow:true)
+    ~bucket_count:(fun () -> M.bucket_count t)
+
 let suite =
   [
     ( "alloc",
@@ -141,11 +185,21 @@ let suite =
         Alcotest.test_case "LFFlat insert/remove word budget" `Quick
           (insert_budget (module T.LFFlat) ~fill_bound:40. ~drain_bound:18.);
         Alcotest.test_case "WFArray insert/remove word budget" `Quick
-          (insert_budget (module T.WFArray) ~fill_bound:39. ~drain_bound:29.);
+          (insert_budget (module T.WFArray) ~fill_bound:38. ~drain_bound:29.);
         Alcotest.test_case "AdaptiveOpt insert/remove word budget" `Quick
-          (insert_budget (module T.AdaptiveOpt) ~fill_bound:39.
-             ~drain_bound:33.);
+          (insert_budget (module T.AdaptiveOpt) ~fill_bound:29.
+             ~drain_bound:24.);
+        Alcotest.test_case "LFArrayOpt grow allocates one bucket block"
+          `Quick
+          (set_grow (module T.LFArrayOpt) ~blocks:1);
+        Alcotest.test_case "Hashmap grow allocates one bucket block" `Quick
+          hashmap_grow;
+        Alcotest.test_case "AdaptiveOpt grow allocates two slot blocks"
+          `Quick
+          (set_grow (module T.AdaptiveOpt) ~blocks:2);
+        Alcotest.test_case "Wf_hashmap grow allocates two slot blocks"
+          `Quick wf_hashmap_grow;
         Alcotest.test_case "Wf_hashmap put/remove word budget" `Quick
-          (map_budget ~fill_bound:65. ~drain_bound:53.);
+          (map_budget ~fill_bound:58. ~drain_bound:48.);
       ] );
   ]

@@ -39,17 +39,17 @@ let check_fires fixture rule () =
        (String.concat ", " rules))
     true (List.mem rule rules)
 
-(* Both discarded slot CASes of the fixture are reported, one per line:
-   the 4-argument [Int_array.compare_and_set] counts as a CAS. *)
-let test_slot_cas_lines () =
-  let lines =
-    List.filter (in_file "fix_cas_ignored_slots.ml") (Lazy.force violations)
-    |> List.filter (fun (v : Analyze_rules.violation) ->
-           v.rule = Analyze_rules.rule_ignored)
-    |> List.map (fun (v : Analyze_rules.violation) -> v.line)
-    |> List.sort_uniq compare
-  in
-  Alcotest.(check (list int)) "cas-ignored lines" [ 7; 10 ] lines
+(* The lines of [fixture] that [rule] reports, once each. *)
+let rule_lines fixture rule =
+  List.filter (in_file fixture) (Lazy.force violations)
+  |> List.filter (fun (v : Analyze_rules.violation) -> v.rule = rule)
+  |> List.map (fun (v : Analyze_rules.violation) -> v.line)
+  |> List.sort_uniq compare
+
+let check_lines fixture rule expected () =
+  Alcotest.(check (list int))
+    (Printf.sprintf "%s lines in %s" rule fixture)
+    expected (rule_lines fixture rule)
 
 let test_clean () =
   let vs = List.filter (in_file "fix_clean.ml") (Lazy.force violations) in
@@ -90,8 +90,22 @@ let suite =
           (check_fires "fix_cas_rmw.ml" "cas-rmw");
         Alcotest.test_case "discarded CAS -> cas-ignored" `Quick
           (check_fires "fix_cas_ignored.ml" "cas-ignored");
+        (* Both discarded slot CASes of the fixture are reported, one
+           per line: the 4-argument [Int_array.compare_and_set] counts
+           as a CAS. *)
         Alcotest.test_case "discarded Int_array CAS -> cas-ignored" `Quick
-          test_slot_cas_lines;
+          (check_lines "fix_cas_ignored_slots.ml" Analyze_rules.rule_ignored
+             [ 7; 10 ]);
+        Alcotest.test_case "discarded Atomic.Array CAS -> cas-ignored" `Quick
+          (check_lines "fix_cas_ignored_array.ml" Analyze_rules.rule_ignored
+             [ 7 ]);
+        (* A payload reachable only through a value-array slot counts
+           as domain-shared, like an [Atomic.t]'s: the field the
+           fixture writes is reported once, at its declaration. *)
+        Alcotest.test_case "Atomic.Array slot payload -> shared-mutable"
+          `Quick
+          (check_lines "fix_array_slot_field.ml" Analyze_rules.rule_plain
+             [ 7 ]);
         Alcotest.test_case "Mutex -> blocking-call" `Quick
           (check_fires "fix_blocking.ml" "blocking-call");
         Alcotest.test_case "Obj.magic -> obj-magic" `Quick

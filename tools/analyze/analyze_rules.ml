@@ -22,7 +22,8 @@
                      binding (ABA-prone; use [compare_and_set] or
                      attribute with [@nbhash.cas_ok "reason"])
      cas-ignored     a [compare_and_set] (on a cell, or the 4-argument
-                     one on a slot of the shim's [Int_array]) whose
+                     one on a slot of the shim's [Int_array] or
+                     [Array]) whose
                      result is discarded ([ignore ...] or
                      [let _ = ...]) with no retry
      blocking-call   [Mutex] / [Condition] / [Semaphore] in a
@@ -35,8 +36,9 @@
    shared if its constructor appears (transitively, through the type
    declarations of the analyzed units) in
 
-     - the payload of an [Atomic.t] — anything published through an
-       atomic is reachable by every domain;
+     - the payload of an [Atomic.t] or of a slot of the shim's flat
+       [Atomic.Array] — anything published through an atomic is
+       reachable by every domain;
      - the type of a module-level [let] binding that is not a
        function — process-global state;
      - the type of a value mentioned inside a closure passed to
@@ -182,9 +184,16 @@ let keys_of_comps ~umod comps =
       in
       if n >= 3 then [ from 2; from 3 ] else [ from 2 ]
 
+(* An atomic cell, or the shim's flat value array, whose every slot is
+   an atomic cell: [Atomic.t], [Nb_atomic.t], [Atomic.Array.t] (also
+   through a backend, [Nb_atomic.Real.Array.t]) and the abbreviation
+   they expand to, [Nb_atomic.atomic_array]. *)
 let is_atomic_ty comps =
+  let shim c = c = "Atomic" || c = "Nb_atomic" in
   match List.rev comps with
-  | "t" :: prev :: _ -> prev = "Atomic" || prev = "Nb_atomic"
+  | "t" :: prev :: _ when shim prev -> true
+  | "t" :: "Array" :: rest -> List.exists shim rest
+  | "atomic_array" :: rest -> List.exists shim rest
   | _ -> false
 
 let container_of comps =
