@@ -11,6 +11,6 @@ let () =
    @ Test_workload.suite @ Test_telemetry.suite @ Test_json.suite
    @ Test_trace.suite @ Test_profile.suite @ Test_alloc.suite
    @ Test_churn.suite
-   @ Test_inspect.suite @ Test_openmetrics.suite
+   @ Test_inspect.suite @ Test_openmetrics.suite @ Test_golden.suite
    @ Test_protocol.suite @ Test_server.suite
    @ Test_lint.suite @ Test_analyze.suite)

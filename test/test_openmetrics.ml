@@ -497,6 +497,90 @@ let test_gauge_registry () =
       in
       Alcotest.(check int) "unregistered gauge gone" 1 (List.length mine'))
 
+(* --- table gauge label sets --- *)
+
+(* A Factory table and every shard of a KV backend register the same
+   seven nbhash_table_* families; the label sets differ only by the
+   backend's extra [shard] label, and the label order is part of the
+   scraped text. The registration order is the reverse of the source
+   listing (list elements are evaluated right to left). *)
+let test_table_gauge_labels () =
+  let families =
+    [ "load_factor"; "buckets"; "cardinal"; "max_depth"; "frozen_buckets";
+      "migration_progress"; "announce_pending" ]
+    |> List.rev_map (fun m -> "nbhash_table_" ^ m)
+  in
+  let samples table =
+    List.filter
+      (fun (s : Gauge.sample) -> List.assoc_opt "table" s.Gauge.labels = Some table)
+      (Gauge.read_all ())
+  in
+  let table = Factory.by_name "LFArrayOpt" () in
+  let backend =
+    Nbhash_server.Backend.create ~kind:Nbhash_server.Backend.Lockfree ~shards:2
+      ~max_threads:4 ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      table.Factory.close ();
+      Nbhash_server.Backend.close backend)
+    (fun () ->
+      let mine = samples "LFArrayOpt" in
+      let instance =
+        match mine with
+        | s :: _ -> List.assoc "instance" s.Gauge.labels
+        | [] -> Alcotest.fail "no LFArrayOpt gauges registered"
+      in
+      let mine =
+        List.filter
+          (fun (s : Gauge.sample) ->
+            List.assoc_opt "instance" s.Gauge.labels = Some instance)
+          mine
+      in
+      Alcotest.(check (list string)) "factory table families" families
+        (List.map (fun (s : Gauge.sample) -> s.Gauge.name) mine);
+      List.iter
+        (fun (s : Gauge.sample) ->
+          Alcotest.(check (list (pair string string)))
+            "factory label set"
+            [ ("table", "LFArrayOpt"); ("instance", instance) ]
+            s.Gauge.labels)
+        mine;
+      let kv = samples "kv-lockfree" in
+      let seq =
+        match List.rev kv with
+        | s :: _ ->
+          let i = List.assoc "instance" s.Gauge.labels in
+          String.sub i 0 (String.index i '/')
+        | [] -> Alcotest.fail "no kv-lockfree gauges registered"
+      in
+      let shard i =
+        List.filter
+          (fun (s : Gauge.sample) ->
+            List.assoc_opt "instance" s.Gauge.labels
+            = Some (Printf.sprintf "%s/%d" seq i))
+          kv
+      in
+      List.iter
+        (fun i ->
+          let ss = shard i in
+          Alcotest.(check (list string))
+            (Printf.sprintf "shard %d families" i)
+            families
+            (List.map (fun (s : Gauge.sample) -> s.Gauge.name) ss);
+          List.iter
+            (fun (s : Gauge.sample) ->
+              Alcotest.(check (list (pair string string)))
+                (Printf.sprintf "shard %d label set" i)
+                [
+                  ("table", "kv-lockfree");
+                  ("instance", Printf.sprintf "%s/%d" seq i);
+                  ("shard", string_of_int i);
+                ]
+                s.Gauge.labels)
+            ss)
+        [ 0; 1 ])
+
 (* --- the disabled path still allocates nothing with gauges around --- *)
 
 let test_disabled_path_no_alloc () =
@@ -536,6 +620,8 @@ let suite =
           test_labeled_families;
         Alcotest.test_case "route registry" `Quick test_route_registry;
         Alcotest.test_case "gauge registry" `Quick test_gauge_registry;
+        Alcotest.test_case "table gauge label sets" `Quick
+          test_table_gauge_labels;
         Alcotest.test_case "disabled path allocation-free" `Quick
           test_disabled_path_no_alloc;
       ] );
