@@ -17,11 +17,11 @@
                    --telemetry; port 0 picks a free port)
      --profile     install the contention profiler; print a ranked
                    table of retry sites and false-sharing scores after
-                   the run (with --serve, /profile.json goes live)
+                   the run (implies --telemetry, whose probe counts the
+                   retries per site; with --serve, /profile.json goes
+                   live)
      --profile-out PATH  write the final quiescent contention profile
-                   as JSON (implies --profile; the per-site sums in it
-                   are cross-checked against the probe's cas_retry
-                   counter by CI)
+                   as JSON (implies --profile)
 
    Throughputs are reported in operations per microsecond, as in the
    paper's charts. Absolute numbers are not comparable to the paper's
@@ -116,12 +116,12 @@ let flush_telemetry () =
 
 (* --- contention profile report (--profile) --- *)
 
-(* Printed once, after every chosen section: the profiler state at
-   this point covers the last measurement window (the Runner and the
-   churn arms reset it in lockstep with the probe). With
-   --profile-out, the same state is written as the /profile.json
-   document so CI can cross-check the per-site sums against the
-   probe's independently-counted cas_retry total at quiescence. *)
+(* Printed once, after every chosen section: the per-site retry
+   counts cover the last measurement window (they live in the probe,
+   which the Runner and the churn arms reset), the gap histograms the
+   whole run. With --profile-out, the same state is written as the
+   /profile.json document, which CI cross-checks against the last
+   churn arm's snapshot in the --json file. *)
 let profile_report () =
   match Nbhash_telemetry.Profile.active () with
   | None -> ()
@@ -130,24 +130,13 @@ let profile_report () =
     let module Site = Nbhash_telemetry.Site in
     Report.print_heading
       "P: contention profile (last measurement window)";
-    let legacy, extra_sources =
-      match Nbhash_telemetry.Global.get () with
-      | Nbhash_telemetry.Probe.Noop -> (-1, [])
-      | Nbhash_telemetry.Probe.Recording r ->
-        ( Nbhash_telemetry.Counters.read r.Nbhash_telemetry.Probe.counters
-            Nbhash_telemetry.Event.Cas_retry,
-          [
-            ( "probe_counters",
-              1,
-              fun () ->
-                Nbhash_telemetry.Counters.lane_totals
-                  r.Nbhash_telemetry.Probe.counters );
-          ] )
+    let retries =
+      Nbhash_telemetry.Probe.site_retries (Nbhash_telemetry.Global.get ())
     in
     let ranked =
-      List.filter (fun (id, _) -> Pr.retries p id > 0) (Site.all ())
+      List.filter (fun (id, _) -> retries.(id) > 0) (Site.all ())
       |> List.sort (fun (a, _) (b, _) ->
-             compare (Pr.retries p b, a) (Pr.retries p a, b))
+             compare (retries.(b), a) (retries.(a), b))
     in
     if ranked = [] then print_endline "no retries recorded"
     else begin
@@ -162,7 +151,7 @@ let profile_report () =
             in
             [
               name;
-              string_of_int (Pr.retries p id);
+              string_of_int retries.(id);
               g (fun s -> s.Nbhash_util.Stats.median);
               g (fun s -> s.Nbhash_util.Stats.p99);
               string_of_int (Pr.alloc_words p id);
@@ -174,24 +163,26 @@ let profile_report () =
           [ "site"; "retries"; "gap p50 us"; "gap p99 us"; "alloc words" ]
         ~rows
     end;
-    Printf.printf "per-site total %d, probe cas_retry %s\n"
-      (Pr.total_retries p)
-      (if legacy < 0 then "(no probe)" else string_of_int legacy);
-    List.iter
-      (fun r ->
-        Printf.printf "false-sharing %-16s max ping-pong %.0f (%d lines)\n"
-          r.Pr.source r.Pr.max_score
-          (List.length r.Pr.lines))
-      (Pr.false_sharing p);
+    Printf.printf "per-site total %d\n" (Array.fold_left ( + ) 0 retries);
+    (* Only the lane sources written during the sampling window. *)
+    let reports = Pr.false_sharing p in
+    (match List.filter (fun r -> r.Pr.lines <> []) reports with
+    | [] ->
+      Printf.printf "false-sharing: none of %d lane sources written\n"
+        (List.length reports)
+    | active ->
+      List.iter
+        (fun r ->
+          Printf.printf "false-sharing %-16s max ping-pong %.0f (%d lines)\n"
+            r.Pr.source r.Pr.max_score (List.length r.Pr.lines))
+        active);
     match !profile_out with
     | None -> ()
     | Some path ->
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc
-            (Pr.json_body ~legacy_cas_retry:legacy ~extra_sources p));
+        (fun () -> output_string oc (Pr.json_body ~retries p));
       Printf.printf "wrote contention profile to %s\n" path
 
 (* The dynamic tables run with resizing enabled, as in the paper; the
@@ -816,12 +807,6 @@ let churn_bench () =
       if k land 1 = 0 then ignore (seed.Factory.ins k)
     done;
     if !telemetry then Nbhash_telemetry.Global.reset ();
-    (* Keep the profiler's per-site sums in lockstep with the probe's
-       cas_retry counter; they cover the same window or the CI
-       cross-check is meaningless. *)
-    (match Nbhash_telemetry.Profile.active () with
-    | Some p -> Nbhash_telemetry.Profile.reset p
-    | None -> ());
     let stop = Atomic.make false in
     let lats = Array.init workers (fun _ -> Array.make cap 0.) in
     let counts = Array.make workers 0 in
@@ -1006,8 +991,8 @@ let () =
   if !json_path <> None then telemetry := true;
   if !serve_port <> None then telemetry := true;
   if !profile_out <> None then profile := true;
-  (* The cross-check in the profile report needs the probe's own
-     cas_retry count alongside the per-site sums. *)
+  (* The per-site retry counts the profile report ranks live in the
+     recording probe. *)
   if !profile then telemetry := true;
   if !telemetry then
     Nbhash_telemetry.Global.install (Nbhash_telemetry.Probe.recording ());

@@ -1192,15 +1192,7 @@ let profile_cmd =
           let num name j = Option.bind (J.member name j) J.to_num in
           let str name j = Option.bind (J.member name j) J.to_str in
           let nf name j = Option.value ~default:Float.nan (num name j) in
-          let total = nf "total_retries" doc in
-          let legacy = nf "legacy_cas_retry" doc in
-          Printf.printf "total retries %.0f" total;
-          if legacy >= 0. then
-            if legacy = total then Printf.printf " (= probe cas_retry)"
-            else
-              Printf.printf " (probe cas_retry %.0f — in-flight drift %.0f)"
-                legacy (legacy -. total);
-          print_newline ();
+          Printf.printf "total retries %.0f\n" (nf "total_retries" doc);
           (* Ranked site table; the server already sorts by retries. *)
           let sites =
             Option.value ~default:[]

@@ -60,7 +60,7 @@ module Make (P : PROTOCOL) = struct
            tid), so plain increments are exact; the profiler samples
            these as a packed lane source — 8 announce slots share one
            cache line, the textbook false-sharing candidate *)
-    announce_src : Nbhash_telemetry.Profile.source;
+    announce_src : Nbhash_telemetry.Lanes.source;
         (* keeps the weakly-registered source alive as long as the
            table is reachable *)
     fast_threshold : int;  (* adaptive knobs; unused by the pure WF tables *)
@@ -88,7 +88,7 @@ module Make (P : PROTOCOL) = struct
       counter = Atomic.make 0;
       announce_writes;
       announce_src =
-        Nbhash_telemetry.Profile.register_source ~name:"wf_announce"
+        Nbhash_telemetry.Lanes.register_source ~name:"wf_announce"
           ~lanes_per_line:8 (fun () -> Array.copy announce_writes);
       fast_threshold;
       help_mask = help_period - 1;

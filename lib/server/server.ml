@@ -334,7 +334,7 @@ let start ?(config = default_config) () =
           Printf.sprintf
             "{\"shard\":%d,\"buckets\":%d,\"cardinal\":%d,\"load_factor\":%s,\"max_depth\":%d,\"frozen_buckets\":%d,\"migrating\":%b}"
             i v.Nbhash.Hashset_intf.buckets v.Nbhash.Hashset_intf.cardinal
-            (Nbhash_telemetry.Snapshot.json_float
+            (Nbhash_util.Json.number
                v.Nbhash.Hashset_intf.load_factor)
             v.Nbhash.Hashset_intf.max_depth
             v.Nbhash.Hashset_intf.frozen_buckets

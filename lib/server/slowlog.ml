@@ -89,22 +89,6 @@ let captured t = Atomic.get t.next
 
 (* --- JSON --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let view_json (v : V.table_view) =
   Printf.sprintf
     "{\"buckets\":%d,\"cardinal\":%d,\"load_factor\":%.4f,\"max_depth\":%d,\"frozen_buckets\":%d,\"migrating\":%b,\"migration_progress\":%.4f,\"announce_pending\":%d}"
@@ -114,12 +98,12 @@ let view_json (v : V.table_view) =
 let entry_json e =
   Printf.sprintf
     "{\"seq\":%d,\"ts_ns\":%d,\"op\":\"%s\",\"key\":%d,\"shard\":%d,\"total_ns\":%d,\"read_ns\":%d,\"decode_ns\":%d,\"shard_ns\":%d,\"help_ns\":%d,\"write_ns\":%d,\"threshold_ns\":%d,\"view\":%s,\"trace_tail\":%s}"
-    e.seq e.ts_ns (json_escape e.op) e.key e.shard e.total_ns e.read_ns
+    e.seq e.ts_ns (Nbhash_util.Json.escape e.op) e.key e.shard e.total_ns e.read_ns
     e.decode_ns e.shard_ns e.help_ns e.write_ns e.threshold_ns
     (match e.view with None -> "null" | Some v -> view_json v)
     (match e.trace_tail with
     | None -> "null"
-    | Some s -> Printf.sprintf "\"%s\"" (json_escape s))
+    | Some s -> Printf.sprintf "\"%s\"" (Nbhash_util.Json.escape s))
 
 (* Surviving entries, oldest first. *)
 let entries t =

@@ -1,60 +1,17 @@
-(* Sharded event counters: one lane of [Event.count] atomics per
-   shard, shards strided one cache line apart so that domains
-   incrementing concurrently do not contend on (or false-share) the
-   same line. A domain picks its shard by domain id, so at most
-   [shards] distinct lines are ever written on the hot path; within a
-   shard the increment is still a fetch-and-add — two domains that
-   happen to collide on a shard lose locality, never updates. Totals
-   are computed only at snapshot time. *)
+(* Event counters: a lane set (see [Lanes]) with one cell per
+   [Event.t], so each domain shard counts into its own cache lines and
+   totals are summed only at snapshot time. [Event.Cas_retry] is not
+   counted here: the probe keeps retries per site and derives their
+   total (see [Probe]). *)
 
-module Atomic = Nbhash_util.Nb_atomic
+type t = Lanes.t
 
-type t = { slots : int Atomic.t array; shard_mask : int }
-
-(* Lane width in words: the smallest multiple of 8 (a 64-byte cache
-   line of 8-byte words) that fits the taxonomy. *)
-let stride = (Event.count + 7) / 8 * 8
-let default_shards = 8
+let default_shards = Lanes.default_lanes
 
 let make ?(shards = default_shards) () =
-  if not (Nbhash_util.Bits.is_pow2 shards) then
-    invalid_arg "Counters.make: shards must be a power of two";
-  {
-    slots = Array.init (shards * stride) (fun _ -> Atomic.make 0);
-    shard_mask = shards - 1;
-  }
+  Lanes.make ~name:"probe_counters" ~lanes:shards ~width:Event.count ()
 
-let shards t = t.shard_mask + 1
-
-let[@inline] slot t ev =
-  let shard = (Domain.self () :> int) land t.shard_mask in
-  Array.unsafe_get t.slots ((shard * stride) + Event.index ev)
-
-let[@inline] incr t ev = ignore (Atomic.fetch_and_add (slot t ev) 1)
-
-let[@inline] add t ev n =
-  if n <> 0 then ignore (Atomic.fetch_and_add (slot t ev) n)
-
-let read t ev =
-  let i = Event.index ev in
-  let total = ref 0 in
-  for shard = 0 to t.shard_mask do
-    total := !total + Atomic.get t.slots.((shard * stride) + i)
-  done;
-  !total
-
-(* Totals indexed by [Event.index]. *)
-let totals t = Array.of_list (List.map (read t) Event.all)
-
-(* Per-shard write totals, for the false-sharing detector: each lane
-   is one domain subset's cache line, so the per-lane rate deltas are
-   exactly the line write rates the ping-pong score needs. *)
-let lane_totals t =
-  Array.init (t.shard_mask + 1) (fun shard ->
-      let acc = ref 0 in
-      for i = 0 to Event.count - 1 do
-        acc := !acc + Atomic.get t.slots.((shard * stride) + i)
-      done;
-      !acc)
-
-let reset t = Array.iter (fun slot -> Atomic.set slot 0) t.slots
+let[@inline] incr t ev = Lanes.add t (Event.index ev) 1
+let[@inline] add t ev n = if n <> 0 then Lanes.add t (Event.index ev) n
+let read t ev = Lanes.sum t (Event.index ev)
+let reset = Lanes.reset

@@ -1,18 +1,17 @@
 (* A process-wide registry of *labeled* histogram families, the
    multi-series complement of the ambient probe's per-span histograms:
    one [Histogram.t] per (family, label-set) pair, e.g.
-   [nbhash_server_stage_ns{op="get",stage="read"}]. Modeled on the
-   [Gauge] registry: a CAS-swapped immutable list through the
-   Nb_atomic shim, so registration is lock-free and the scrape path is
-   a single load. Unlike probe histograms these are never reset by the
-   bench runner, so the exporter can render them raw — they are
-   monotone by construction.
+   [nbhash_server_stage_ns{op="get",stage="read"}]. A [Registry], so
+   registration is lock-free and the scrape path is a single load.
+   Unlike probe histograms these are never reset by the bench runner,
+   so the exporter can render them raw — they are monotone by
+   construction.
 
    [histogram] is get-or-create: instrumentation sites call it once at
    module initialisation, keep the returned histogram, and observe
    into it directly — the registry is never on a hot path. *)
 
-module Atomic = Nbhash_util.Nb_atomic
+module Json = Nbhash_util.Json
 
 type entry = {
   family : string;
@@ -21,79 +20,34 @@ type entry = {
   hist : Histogram.t;
 }
 
-(* Newest first; readers reverse for stable registration order. *)
-let registry : entry list Atomic.t = Atomic.make []
+let registry : entry Registry.t = Registry.create ()
 
-let rec swap f =
-  let cur = Atomic.get registry in
-  if not (Atomic.compare_and_set registry cur (f cur)) then swap f
+let histogram ~family ?(help = "") ~labels () =
+  (Registry.find_or_add registry
+     (fun e -> e.family = family && e.labels = labels)
+     (fun () ->
+       { family; help; labels; hist = Histogram.make ~name:family () }))
+    .hist
 
-let find family labels =
-  List.find_opt
-    (fun e -> e.family = family && e.labels = labels)
-    (Atomic.get registry)
-
-let rec histogram ~family ?(help = "") ~labels () =
-  match find family labels with
-  | Some e -> e.hist
-  | None ->
-    let e = { family; help; labels; hist = Histogram.make () } in
-    let cur = Atomic.get registry in
-    (* Double-check under the CAS so a race registers exactly one
-       histogram per key; the loser retries and finds the winner's. *)
-    if
-      List.exists
-        (fun o -> o.family = family && o.labels = labels)
-        cur
-      || not (Atomic.compare_and_set registry cur (e :: cur))
-    then histogram ~family ~help ~labels ()
-    else e.hist
-
-let read_all () = List.rev (Atomic.get registry)
+(* Entries in registration order. *)
+let read_all () = Registry.to_list registry
 
 (* Tests only: forget every registered family. Instrumentation sites
    keep their histogram references, so observations made after a reset
    simply stop being exported. *)
-let reset_all () = swap (fun _ -> [])
+let reset_all () = Registry.clear registry
 
 (* --- JSON (snapshot block) --- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* {"<family>":[{"labels":{...},"summary":{...}|null},...],...} with
    families in registration order, entries of a family contiguous. *)
 let families_json () =
-  let entries = read_all () in
-  let order = ref [] in
-  let by_family : (string, entry list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      match Hashtbl.find_opt by_family e.family with
-      | Some l -> l := e :: !l
-      | None ->
-        Hashtbl.add by_family e.family (ref [ e ]);
-        order := e.family :: !order)
-    entries;
   let entry_json e =
     let labels =
       String.concat ","
         (List.map
            (fun (k, v) ->
-             Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+             Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
            e.labels)
     in
     let summary =
@@ -103,10 +57,10 @@ let families_json () =
     in
     Printf.sprintf "{\"labels\":{%s},\"summary\":%s}" labels summary
   in
-  let family_json name =
-    let group = List.rev !(Hashtbl.find by_family name) in
-    Printf.sprintf "\"%s\":[%s]" (json_escape name)
+  let family_json (name, group) =
+    Printf.sprintf "\"%s\":[%s]" (Json.escape name)
       (String.concat "," (List.map entry_json group))
   in
   Printf.sprintf "{%s}"
-    (String.concat "," (List.map family_json (List.rev !order)))
+    (String.concat ","
+       (List.map family_json (Registry.group_by (fun e -> e.family) (read_all ()))))

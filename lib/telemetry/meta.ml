@@ -4,18 +4,7 @@
    in /snapshot.json scrapes, which makes the two joinable. Every
    value is best-effort — a missing git binary must not fail a run. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' | '\r' | '\t' -> Buffer.add_char b ' '
-      | c when Char.code c < 0x20 -> ()
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Nbhash_util.Json
 
 let git_rev () =
   try
@@ -35,8 +24,8 @@ let iso_timestamp () =
 let json () =
   Printf.sprintf
     "{\"git_rev\":\"%s\",\"domains\":%d,\"ocaml\":\"%s\",\"hostname\":\"%s\",\"timestamp\":\"%s\"}"
-    (json_escape (git_rev ()))
+    (Json.escape (git_rev ()))
     (Domain.recommended_domain_count ())
-    (json_escape Sys.ocaml_version)
-    (json_escape (try Unix.gethostname () with _ -> "unknown"))
+    (Json.escape Sys.ocaml_version)
+    (Json.escape (try Unix.gethostname () with _ -> "unknown"))
     (iso_timestamp ())

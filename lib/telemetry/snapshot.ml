@@ -36,23 +36,18 @@ let to_string t = Format.asprintf "%a" pp t
 
 (* --- JSON --- *)
 
-(* Finite floats only (histogram summaries always are); %.17g
-   round-trips doubles but usually prints short. *)
-let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.17g" x
+module Json = Nbhash_util.Json
 
 let json_summary (s : Nbhash_util.Stats.summary) =
   Printf.sprintf
     "{\"n\":%d,\"mean\":%s,\"min\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s,\"max\":%s}"
     s.Nbhash_util.Stats.n
-    (json_float s.Nbhash_util.Stats.mean)
-    (json_float s.Nbhash_util.Stats.min)
-    (json_float s.Nbhash_util.Stats.median)
-    (json_float s.Nbhash_util.Stats.p95)
-    (json_float s.Nbhash_util.Stats.p99)
-    (json_float s.Nbhash_util.Stats.max)
+    (Json.number s.Nbhash_util.Stats.mean)
+    (Json.number s.Nbhash_util.Stats.min)
+    (Json.number s.Nbhash_util.Stats.median)
+    (Json.number s.Nbhash_util.Stats.p95)
+    (Json.number s.Nbhash_util.Stats.p99)
+    (Json.number s.Nbhash_util.Stats.max)
 
 (* [meta], when given, is a ready-made JSON object (see Meta.json) and
    leads the document so scraped snapshots carry the same provenance

@@ -24,8 +24,6 @@
    clock is monotonic (CLOCK_MONOTONIC), so ages are non-negative and
    a wall-clock step can neither mass-report stalls nor hide one. *)
 
-module Atomic = Nbhash_util.Nb_atomic
-
 type source = {
   name : string;
   pending : unit -> (int * int) array;
@@ -53,27 +51,13 @@ let create ?(max_age_ns = default_max_age_ns) sources =
 (* Tables register their announce arrays here (via Factory attach) so
    a single watchdog — typically the metrics server's, backing the
    /health endpoint — can see every live table without threading a
-   list through the program. A CAS-swapped immutable list, same shape
-   as Gauge's registry. *)
+   list through the program. *)
 
-type registered = { id : int; src : source }
+let registry : source Registry.t = Registry.create ()
 
-let next_id = Atomic.make 0
-let registry : registered list Atomic.t = Atomic.make []
-
-let rec swap f =
-  let cur = Atomic.get registry in
-  if not (Atomic.compare_and_set registry cur (f cur)) then swap f
-
-let register_source ~name pending =
-  let id = Atomic.fetch_and_add next_id 1 in
-  swap (fun l -> { id; src = { name; pending } } :: l);
-  id
-
-let unregister_source id = swap (List.filter (fun r -> r.id <> id))
-
-let registered_sources () =
-  List.rev_map (fun r -> r.src) (Atomic.get registry)
+let register_source ~name pending = Registry.register registry { name; pending }
+let unregister_source = Registry.unregister registry
+let registered_sources () = Registry.to_list registry
 
 (* A watchdog over the registry: each poll sees the tables registered
    at that instant. Still single-owner — poll it from one domain. *)

@@ -244,3 +244,26 @@ let to_num = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
 let keys = function Obj fields -> Some (List.map fst fields) | _ -> None
+
+(* --- encoding --- *)
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let number x =
+  let x = if Float.is_finite x then x else 0. in
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x

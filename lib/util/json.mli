@@ -1,8 +1,9 @@
-(** A minimal JSON reader for the repo's own tooling.
+(** A minimal JSON reader for the repo's own tooling, plus the two
+    encoding helpers every hand-written emitter shares.
 
     The telemetry and bench layers hand-encode their JSON
-    ([Snapshot.to_json], the bench emitter, the trace exporter); this
-    is the matching decoder, used by [tools/bench_compare] to diff two
+    ([Snapshot.to_json], the bench emitter, the trace exporter) with
+    {!escape} and {!number}; {!parse} is the matching decoder, used by [tools/bench_compare] to diff two
     bench files and by the test suite to validate that the emitters
     produce well-formed documents. It accepts standard JSON (RFC 8259)
     with no extensions: unescaped control characters in strings are
@@ -40,3 +41,17 @@ val to_num : t -> float option
 val to_str : t -> string option
 val to_list : t -> t list option
 val keys : t -> string list option
+
+(** {2 Encoding} *)
+
+val escape : string -> string
+(** The body of a JSON string literal (no surrounding quotes): double
+    quote and backslash are backslash-escaped, newline, carriage return and tab use
+    their short escapes, and every other control character below
+    0x20 becomes a [\u00XX] escape. Bytes from 0x20 up pass through, so UTF-8
+    input stays UTF-8. *)
+
+val number : float -> string
+(** A JSON number: integral values below 1e15 print bare (["3"]), the
+    rest through [%.17g], which round-trips a double. A non-finite
+    value, which JSON cannot carry, prints as ["0"]. *)

@@ -26,6 +26,7 @@ module type INT_ARRAY = sig
   val length : t -> int
   val get : t -> int -> int
   val compare_and_set : t -> int -> int -> int -> bool
+  val fetch_and_add : t -> int -> int -> int
   val set_private : t -> int -> int -> unit
 end
 
@@ -76,12 +77,17 @@ let tracing = ref false
 (* The slot stubs of the two flat arrays (nb_atomic_stubs.c). One
    seq_cst load serves both: it reads a word, whatever the word holds.
    The CASes differ: an int slot never holds a pointer, so its CAS
-   skips the write barrier that a value slot's CAS must take. *)
+   (and its fetch-and-add) skips the write barrier that a value
+   slot's CAS must take. *)
 external slot_get : 'a array -> int -> 'a = "nbhash_int_array_get"
 [@@noalloc]
 
 external int_array_cas : int array -> int -> int -> int -> bool
   = "nbhash_int_array_cas"
+[@@noalloc]
+
+external int_array_fetch_add : int array -> int -> int -> int
+  = "nbhash_int_array_fetch_add"
 [@@noalloc]
 
 external value_array_cas : 'a array -> int -> 'a -> 'a -> bool
@@ -162,6 +168,10 @@ module Real : ATOMIC = struct
     let compare_and_set a i old nw =
       Slots.check_index a i;
       int_array_cas a i old nw
+
+    let fetch_and_add a i n =
+      Slots.check_index a i;
+      int_array_fetch_add a i n
   end
 
   module Array = struct
@@ -226,6 +236,10 @@ module Traced : ATOMIC = struct
     let compare_and_set a i old nw =
       Slots.traced_guard Cas a i;
       int_array_cas a i old nw
+
+    let fetch_and_add a i n =
+      Slots.traced_guard Fetch_and_add a i;
+      int_array_fetch_add a i n
   end
 
   module Array = struct
@@ -268,6 +282,10 @@ module Int_array = struct
   let[@inline] compare_and_set a i old nw =
     Slots.guard Cas a i;
     int_array_cas a i old nw
+
+  let[@inline] fetch_and_add a i n =
+    Slots.guard Fetch_and_add a i;
+    int_array_fetch_add a i n
 end
 
 module Array = struct

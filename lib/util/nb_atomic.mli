@@ -18,10 +18,10 @@ type 'a t = 'a Stdlib.Atomic.t
 type int_array
 (** A fixed-length array of atomic ints stored flat: one word per
     slot in one heap block, where an [int t array] costs a separate
-    boxed [Atomic.t] per slot. Loads and CASes are sequentially
-    consistent, like the [Atomic.t] operations (C stubs; OCaml 5.1 has
-    no atomic array-field primitive). Slots hold immediates only, so
-    a CAS takes no write barrier. *)
+    boxed [Atomic.t] per slot. Loads, CASes and fetch-and-adds are
+    sequentially consistent, like the [Atomic.t] operations (C stubs;
+    OCaml 5.1 has no atomic array-field primitive). Slots hold
+    immediates only, so no write takes a write barrier. *)
 
 type 'a atomic_array
 (** A fixed-length array of atomic values stored flat: one word per
@@ -49,6 +49,10 @@ module type INT_ARRAY = sig
   val compare_and_set : t -> int -> int -> int -> bool
   (** [compare_and_set a i old nw] sets slot [i] to [nw] iff it holds
       [old], and says whether it did. *)
+
+  val fetch_and_add : t -> int -> int -> int
+  (** [fetch_and_add a i n] adds [n] to slot [i] and returns the
+      value the slot held before. *)
 
   val set_private : t -> int -> int -> unit
   (** A plain store, only for initializing an array no other thread
@@ -116,8 +120,8 @@ module Real : ATOMIC
 
 module Traced : ATOMIC
 (** Always yields {!Step} first (also before each [Int_array] and
-    [Array] get and CAS, but not their [set_private]); only usable
-    under a handler. *)
+    [Array] get and CAS and each [Int_array] fetch-and-add, but not
+    their [set_private]); only usable under a handler. *)
 
 val tracing : bool ref
 (** Model-checker hook. Only [Nbhash_check] should flip this, around a

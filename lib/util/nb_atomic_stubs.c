@@ -7,7 +7,8 @@
    Bounds are checked by the OCaml caller.
 
    Int_array's slots only ever hold immediates (tagged ints), so its
-   CAS never stores a pointer and needs no write barrier. Array's
+   CAS and fetch-and-add never store a pointer and need no write
+   barrier. Array's
    slots hold any value, so its CAS goes through the runtime's
    [caml_atomic_cas_field]: the very call, write barrier included,
    that [Atomic.compare_and_set] makes on field 0 of an [Atomic.t].
@@ -38,6 +39,14 @@ CAMLprim value nbhash_int_array_cas(value arr, value i, value old, value nw)
   return Val_bool(__atomic_compare_exchange_n(
       &Field(arr, Long_val(i)), &expected, nw, 0, __ATOMIC_SEQ_CST,
       __ATOMIC_SEQ_CST));
+}
+
+/* Adds [n] to an int slot and returns the slot's previous value. A
+   tagged int is 2k+1, so adding the tagged-free 2n keeps the tag. */
+CAMLprim value nbhash_int_array_fetch_add(value arr, value i, value n)
+{
+  return __atomic_fetch_add(&Field(arr, Long_val(i)), 2 * Long_val(n),
+                            __ATOMIC_SEQ_CST);
 }
 
 CAMLprim value nbhash_value_array_cas(value arr, value i, value old, value nw)

@@ -30,13 +30,20 @@ type maker = ?policy:Nbhash.Policy.t -> ?max_threads:int -> unit -> table
 let instance_seq = Atomic.make 0
 
 (* Register this table's health gauges and its watchdog source;
-   returns the detach thunk stored in [close]. The gauge thunks hold
-   the table alive through their closures, so a table dropped without
-   [close] merely leaves stale-but-safe gauges behind. *)
-let attach ~name ~inspect ~pending =
+   returns the detach thunk stored in [close]. The gauges are labeled
+   [table] and [instance] (a fresh sequence number unless [instance]
+   is given), then [labels]; the watchdog source is named
+   [name#instance]. The gauge thunks hold the table alive through
+   their closures, so a table dropped without [close] merely leaves
+   stale-but-safe gauges behind. *)
+let attach ?instance ?(labels = []) ~name ~inspect ~pending () =
   let module G = Nbhash_telemetry.Gauge in
-  let instance = string_of_int (Atomic.fetch_and_add instance_seq 1) in
-  let labels = [ ("table", name); ("instance", instance) ] in
+  let instance =
+    match instance with
+    | Some i -> i
+    | None -> string_of_int (Atomic.fetch_and_add instance_seq 1)
+  in
+  let labels = ("table", name) :: ("instance", instance) :: labels in
   let gauge metric help read =
     G.register ~name:("nbhash_table_" ^ metric) ~help ~labels (fun () ->
         read (inspect ()))
@@ -73,6 +80,7 @@ let of_module (module S : Nbhash.Hashset_intf.S) : maker =
     attach ~name:S.name
       ~inspect:(fun () -> S.inspect t)
       ~pending:(fun () -> S.pending_ops t)
+      ()
   in
   {
     name = S.name;
@@ -106,6 +114,7 @@ let adaptive_tuned ~fast_threshold : maker =
     attach ~name
       ~inspect:(fun () -> A.inspect t)
       ~pending:(fun () -> A.pending_ops t)
+      ()
   in
   {
     name;

@@ -42,6 +42,22 @@ type table = {
 
 type maker = ?policy:Nbhash.Policy.t -> ?max_threads:int -> unit -> table
 
+val attach :
+  ?instance:string ->
+  ?labels:(string * string) list ->
+  name:string ->
+  inspect:(unit -> Nbhash.Hashset_intf.table_view) ->
+  pending:(unit -> (int * int) array) ->
+  unit ->
+  unit ->
+  unit
+(** Register a table's seven [nbhash_table_*] health gauges and its
+    liveness-watchdog source; returns the thunk that unregisters them.
+    Gauges are labeled [table=name], [instance] (a fresh sequence
+    number unless given), then [labels]; the watchdog source is named
+    [name#instance]. Every maker below calls it; the KV server calls
+    it once per shard. *)
+
 val of_module : (module Nbhash.Hashset_intf.S) -> maker
 
 val adaptive_tuned : fast_threshold:int -> maker

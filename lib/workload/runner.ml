@@ -56,13 +56,6 @@ let run table ~threads ~spec ~duration ?(seed = 42) () =
   (match Nbhash_telemetry.Trace.active () with
   | Some tr -> Nbhash_telemetry.Trace.clear tr
   | None -> ());
-  (* And for the contention profiler, which must reset in lockstep
-     with the probe: the per-site retry sums are cross-checked against
-     the probe's cas_retry counter, so they have to cover the same
-     window. *)
-  (match Nbhash_telemetry.Profile.active () with
-  | Some p -> Nbhash_telemetry.Profile.reset p
-  | None -> ());
   let domains = List.init threads (fun i -> Domain.spawn (worker i)) in
   Barrier.wait barrier;
   let t0 = now () in

@@ -143,6 +143,52 @@ let test_traced_steps () =
       in
       steps_of a (script m a))
 
+(* Fetch-and-add on an int slot: the previous value comes back, a
+   negative addend subtracts, neighbours stay put, out-of-bounds is
+   rejected on every backend, two domains lose no increment, and the
+   checker sees a fetch_and_add [Step] before the add takes effect. *)
+let test_fetch_and_add () =
+  List.iter
+    (fun (name, (module I : A.INT_ARRAY)) ->
+      let a = I.make 3 10 in
+      Alcotest.(check int) (name ^ " returns the previous value") 10
+        (I.fetch_and_add a 1 5);
+      Alcotest.(check int) (name ^ " negative addend") 15
+        (I.fetch_and_add a 1 (-20));
+      Alcotest.(check (list int)) (name ^ " slots") [ 10; -5; 10 ]
+        (List.init 3 (I.get a)))
+    backends;
+  List.iter
+    (fun (name, (module I : A.INT_ARRAY)) ->
+      let a = I.make 3 0 in
+      List.iter
+        (fun i ->
+          match I.fetch_and_add a i 1 with
+          | _ -> Alcotest.failf "%s fetch_and_add %d was not rejected" name i
+          | exception Invalid_argument _ -> ())
+        [ -1; 3; max_int; min_int ])
+    (backends @ [ ("Traced", (module A.Traced.Int_array : A.INT_ARRAY)) ]);
+  let n = 100_000 in
+  let a = A.Int_array.make 3 0 in
+  let worker () =
+    for _ = 1 to n do
+      ignore (A.Int_array.fetch_and_add a 1 1)
+    done
+  in
+  let d = Domain.spawn worker in
+  worker ();
+  Domain.join d;
+  Alcotest.(check (list int)) "two domains, no lost increment" [ 0; 2 * n; 0 ]
+    (List.init 3 (A.Int_array.get a));
+  let a = A.Int_array.make 1 0 in
+  Alcotest.(check (list (pair string int)))
+    "Traced: one Step before the add"
+    [ ("fetch_and_add", 0); ("fetch_and_add", 3) ]
+    (steps_of a (fun () ->
+         ignore (A.Traced.Int_array.fetch_and_add a 0 3);
+         ignore (A.Traced.Int_array.fetch_and_add a 0 4)));
+  Alcotest.(check int) "both adds landed" 7 (A.Int_array.get a 0)
+
 (* ---- the value array ---- *)
 
 let value_backends : (string * (module A.ARRAY)) list =
@@ -307,6 +353,8 @@ let suite =
           test_two_domain_cas_count;
         Alcotest.test_case "Traced steps before get and CAS" `Quick
           test_traced_steps;
+        Alcotest.test_case "fetch-and-add exact, bounded, traced" `Quick
+          test_fetch_and_add;
         Alcotest.test_case "value CAS success and failure" `Quick
           test_value_cas;
         Alcotest.test_case "value out-of-bounds rejected" `Quick

@@ -1,10 +1,11 @@
-(* The contention & allocation profiler (ISSUE 10).
+(* The contention & allocation profiler.
 
    Covers: site-registry exactness (ids stable, idempotent by name,
-   unknown fallback), exact per-site retry counts single- and
-   multi-domain with the probe's independent cas_retry total agreeing,
-   retry-gap histogram accounting, the deterministic ping-pong scoring
-   of the false-sharing detector, Memprof attribution surviving both a
+   unknown fallback), exact per-site retry counts (kept by the
+   recording probe) single- and multi-domain with the snapshot's
+   cas_retry equal to their sum, retry-gap histogram accounting, the
+   deterministic ping-pong scoring of the false-sharing detector and
+   its live verdict on a padded lane set against a packed control, Memprof attribution surviving both a
    5.1 runtime (unavailable, reported not raised) and a 5.2 one
    (sampling live), the Gc-asserted allocation-free disabled path, and
    well-formed /profile.json and snapshot-block documents. *)
@@ -14,15 +15,28 @@ module Site = Nbhash_telemetry.Site
 module Global = Nbhash_telemetry.Global
 module Probe = Nbhash_telemetry.Probe
 module Event = Nbhash_telemetry.Event
-module Counters = Nbhash_telemetry.Counters
+module Snapshot = Nbhash_telemetry.Snapshot
+module Lanes = Nbhash_telemetry.Lanes
 module Json = Nbhash_util.Json
 
 (* The profiler is ambient, like the trace rings: scope every
-   installation and never leave one behind. *)
+   installation and never leave one behind. The per-site retry counts
+   live in the recording probe, so one is installed alongside. *)
 let with_profile f =
+  let prev = Global.get () in
+  Global.install (Probe.recording ());
   let p = Profile.create () in
   Profile.install p;
-  Fun.protect ~finally:Profile.uninstall (fun () -> f p)
+  Fun.protect
+    ~finally:(fun () ->
+      Profile.uninstall ();
+      Global.install prev)
+    (fun () -> f p)
+
+let site_retries () = Probe.site_retries (Global.get ())
+let retries site = (site_retries ()).(site)
+let total_retries () = Array.fold_left ( + ) 0 (site_retries ())
+let snapshot_cas_retry () = Snapshot.get (Global.snapshot ()) Event.Cas_retry
 
 (* --- site registry --- *)
 
@@ -44,75 +58,103 @@ let test_registry () =
   Alcotest.(check int) "all () length matches registered ()"
     (Site.registered ()) (List.length all)
 
-(* --- exact per-site accounting, and the probe cross-check --- *)
+(* --- exact per-site accounting, and the derived total --- *)
 
 let test_exact_counts () =
-  Global.install (Probe.recording ());
-  Global.reset ();
-  Fun.protect
-    ~finally:(fun () -> Global.install Probe.noop)
-    (fun () ->
-      with_profile (fun p ->
-          let a = Site.register "test_profile/a" in
-          let b = Site.register "test_profile/b" in
-          for _ = 1 to 1000 do
-            Global.cas_retry a
-          done;
-          for _ = 1 to 37 do
-            Global.cas_retry b
-          done;
-          Alcotest.(check int) "site a exact" 1000 (Profile.retries p a);
-          Alcotest.(check int) "site b exact" 37 (Profile.retries p b);
-          Alcotest.(check int) "total is the per-site sum" 1037
-            (Profile.total_retries p);
-          (* The acceptance cross-check: the probe counts the same
-             emissions independently, so the labeled family must sum
-             to the legacy cas_retry total. *)
-          (match Global.get () with
-          | Probe.Recording r ->
-            Alcotest.(check int) "probe cas_retry total agrees" 1037
-              (Counters.read r.Probe.counters Event.Cas_retry)
-          | Probe.Noop -> Alcotest.fail "recording probe vanished");
-          (* N retries in one domain lane observe at most N-1 gaps
-             (the first has no predecessor; equal-ns timestamps are
-             skipped, not observed as zero). *)
-          let gaps =
-            Array.fold_left ( + ) 0 (Profile.gap_counts p a)
-          in
-          Alcotest.(check bool) "gap count bounded by retries - 1" true
-            (gaps <= 999);
-          Alcotest.(check bool) "gaps observed at all" true (gaps > 0);
-          Profile.reset p;
-          Alcotest.(check int) "reset clears the counters" 0
-            (Profile.total_retries p);
-          Alcotest.(check int) "reset clears the gap histograms" 0
-            (Array.fold_left ( + ) 0 (Profile.gap_counts p a))))
+  with_profile (fun p ->
+      let a = Site.register "test_profile/a" in
+      let b = Site.register "test_profile/b" in
+      for _ = 1 to 1000 do
+        Global.cas_retry a
+      done;
+      for _ = 1 to 37 do
+        Global.cas_retry b
+      done;
+      Alcotest.(check int) "site a exact" 1000 (retries a);
+      Alcotest.(check int) "site b exact" 37 (retries b);
+      Alcotest.(check int) "total is the per-site sum" 1037 (total_retries ());
+      (* The snapshot's cas_retry is derived from the same per-site
+         counts, so it cannot drift from their sum. *)
+      Alcotest.(check int) "snapshot cas_retry is the per-site sum" 1037
+        (snapshot_cas_retry ());
+      (* N retries in one domain lane observe at most N-1 gaps
+         (the first has no predecessor; equal-ns timestamps are
+         skipped, not observed as zero). *)
+      let gaps () = Array.fold_left ( + ) 0 (Profile.gap_counts p a) in
+      let observed = gaps () in
+      Alcotest.(check bool) "gap count bounded by retries - 1" true
+        (observed <= 999);
+      Alcotest.(check bool) "gaps observed at all" true (observed > 0);
+      Global.reset ();
+      Alcotest.(check int) "probe reset clears the per-site counts" 0
+        (total_retries ());
+      Alcotest.(check int) "and the derived total" 0 (snapshot_cas_retry ());
+      Alcotest.(check int) "gap histograms cover the whole run" observed
+        (gaps ()))
 
 let test_multi_domain_exact () =
-  with_profile (fun p ->
+  with_profile (fun _ ->
       let s = Site.register "test_profile/md" in
       let workers = 4 and n = 10_000 in
       let ds =
         List.init workers (fun _ ->
             Domain.spawn (fun () ->
                 for _ = 1 to n do
-                  Profile.on_retry s
+                  Global.cas_retry s
                 done))
       in
       List.iter Domain.join ds;
       Alcotest.(check int) "sharded counters lose nothing across domains"
-        (workers * n) (Profile.retries p s);
-      Alcotest.(check int) "total agrees" (workers * n)
-        (Profile.total_retries p))
+        (workers * n) (retries s);
+      Alcotest.(check int) "total agrees" (workers * n) (total_retries ());
+      Alcotest.(check int) "snapshot cas_retry agrees" (workers * n)
+        (snapshot_cas_retry ()))
+
+(* A real multi-domain table run: whatever sites the run retried at,
+   the snapshot's cas_retry is exactly their sum, and none of them is
+   the unknown site. *)
+let test_table_run_derived_total () =
+  with_profile (fun _ ->
+      let table = Nbhash_workload.Factory.by_name "LFArray" () in
+      let stop = Atomic.make false in
+      let worker d () =
+        let ops = table.Nbhash_workload.Factory.new_handle () in
+        let i = ref d in
+        while not (Atomic.get stop) do
+          let k = !i land 255 in
+          if !i land 1 = 0 then ignore (ops.Nbhash_workload.Factory.ins k)
+          else ignore (ops.Nbhash_workload.Factory.rem k);
+          if !i land 1023 = 0 then
+            ops.Nbhash_workload.Factory.force_resize ~grow:(!i land 2048 = 0);
+          i := !i + 7
+        done;
+        ops.Nbhash_workload.Factory.detach ()
+      in
+      let ds = List.init 3 (fun d -> Domain.spawn (worker d)) in
+      Unix.sleepf 0.1;
+      Atomic.set stop true;
+      List.iter Domain.join ds;
+      table.Nbhash_workload.Factory.close ();
+      let per_site = site_retries () in
+      Alcotest.(check int) "snapshot cas_retry = per-site sum"
+        (Array.fold_left ( + ) 0 per_site)
+        (snapshot_cas_retry ());
+      Alcotest.(check int) "no retry on the unknown site" 0
+        per_site.(Site.unknown))
 
 (* An unregistered (out-of-range) site id lands on unknown instead of
-   corrupting a neighbour's counter. *)
+   corrupting a neighbour's counter, and so does a bare, site-less
+   Cas_retry emission. *)
 let test_unknown_fallback () =
-  with_profile (fun p ->
-      Profile.on_retry 9999;
-      Profile.on_retry (-3);
+  with_profile (fun _ ->
+      Global.cas_retry 9999;
+      Global.cas_retry (-3);
       Alcotest.(check int) "stray ids land on the unknown site" 2
-        (Profile.retries p Site.unknown))
+        (retries Site.unknown);
+      Global.emit Event.Cas_retry;
+      Alcotest.(check int) "a site-less emission counts as unknown" 3
+        (retries Site.unknown);
+      Alcotest.(check int) "and once in the total" 3 (snapshot_cas_retry ()))
 
 (* --- false-sharing scoring (deterministic, via score_source) --- *)
 
@@ -163,7 +205,7 @@ let test_false_sharing_live () =
   with_profile (fun p ->
       let counts = Array.make 8 0 in
       let src =
-        Profile.register_source ~name:"test_src" ~lanes_per_line:8 (fun () ->
+        Lanes.register_source ~name:"test_src" ~lanes_per_line:8 (fun () ->
             (* Two lanes advance on every sample read: deterministic
                movement without a writer thread. *)
             counts.(0) <- counts.(0) + 1000;
@@ -180,6 +222,65 @@ let test_false_sharing_live () =
         Alcotest.(check bool) "two writers on the shared line scores > 0"
           true
           (r.Profile.max_score > 0.))
+
+(* The acceptance test of the lane primitive, scored by the same
+   detector: two domains each write their own lane of one padded lane
+   set (the probe's per-site retry lanes) and their own word of a
+   packed control array. The lane set scores no ping-pong; the
+   control, whose two words share a cache line, does. *)
+let test_padded_lanes_vs_packed () =
+  with_profile (fun p ->
+      let s = Site.register "test_profile/lanes" in
+      let packed = Nbhash_util.Nb_atomic.Int_array.make 2 0 in
+      let control =
+        Lanes.register_source ~name:"packed_control" ~lanes_per_line:8
+          (fun () -> Array.init 2 (Nbhash_util.Nb_atomic.Int_array.get packed))
+      in
+      let stop = Atomic.make false in
+      let started = Atomic.make 0 in
+      let worker i () =
+        Atomic.incr started;
+        while not (Atomic.get stop) do
+          Global.cas_retry s;
+          ignore (Nbhash_util.Nb_atomic.Int_array.fetch_and_add packed i 1)
+        done
+      in
+      let ds = List.init 2 (fun i -> Domain.spawn (worker i)) in
+      let reports =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stop true;
+            List.iter Domain.join ds)
+          (fun () ->
+            while Atomic.get started < 2 do
+              Domain.cpu_relax ()
+            done;
+            Profile.false_sharing ~interval_s:0.05 p)
+      in
+      ignore (Sys.opaque_identity control);
+      (match List.map Domain.get_id ds with
+      | [ a; b ] ->
+        Alcotest.(check bool) "the two writers own distinct lanes" true
+          (((a :> int) - (b :> int)) land (Lanes.default_lanes - 1) <> 0)
+      | _ -> assert false);
+      (* Probes of earlier tests may still await collection; theirs
+         are the idle reports of the same name. *)
+      let report name =
+        match
+          List.find_opt
+            (fun r -> r.Profile.source = name && r.Profile.lines <> [])
+            reports
+        with
+        | Some r -> r
+        | None -> Alcotest.failf "no active %s report" name
+      in
+      let lanes = report "profile_retries" in
+      Alcotest.(check int) "both lanes written in the window" 2
+        (List.length lanes.Profile.lines);
+      Alcotest.(check (float 0.)) "padded lane set: max_ping_pong = 0" 0.
+        lanes.Profile.max_score;
+      Alcotest.(check bool) "packed control: max_ping_pong > 0" true
+        ((report "packed_control").Profile.max_score > 0.))
 
 (* --- Memprof attribution --- *)
 
@@ -242,7 +343,7 @@ let test_disabled_path_no_alloc () =
 let test_json_shapes () =
   Profile.uninstall ();
   (* Inactive snapshot block. *)
-  (match Json.parse (Profile.snapshot_block ()) with
+  (match Json.parse (Profile.snapshot_block ~retries:(site_retries ()) ()) with
   | Error e -> Alcotest.failf "inactive snapshot block invalid: %s" e
   | Ok d -> (
     match Json.member "active" d with
@@ -258,7 +359,7 @@ let test_json_shapes () =
         Fun.protect
           ~finally:(fun () -> Profile.unregister_view reg)
           (fun () ->
-            Profile.json_body ~legacy_cas_retry:123 ~interval_s:0.001 p)
+            Profile.json_body ~retries:(site_retries ()) ~interval_s:0.001 p)
       in
       match Json.parse body with
       | Error e -> Alcotest.failf "json_body invalid: %s" e
@@ -269,9 +370,12 @@ let test_json_shapes () =
         (match Option.bind (Json.member "total_retries" d) Json.to_num with
         | Some n when n >= 1. -> ()
         | _ -> Alcotest.fail "total_retries missing");
-        (match Option.bind (Json.member "legacy_cas_retry" d) Json.to_num with
-        | Some n -> Alcotest.(check (float 0.)) "legacy passed through" 123. n
-        | None -> Alcotest.fail "legacy_cas_retry missing");
+        Alcotest.(check (option (list string)))
+          "top-level keys"
+          (Some
+             [ "active"; "total_retries"; "sites"; "false_sharing"; "memprof";
+               "views" ])
+          (Json.keys d);
         let sites =
           Option.value ~default:[]
             (Option.bind (Json.member "sites" d) Json.to_list)
@@ -295,7 +399,7 @@ let test_json_shapes () =
         | [] -> Alcotest.fail "no sites rendered");
         (match Option.bind (Json.member "false_sharing" d) Json.to_list with
         | Some reports ->
-          Alcotest.(check bool) "profiler's own lanes always reported" true
+          Alcotest.(check bool) "per-site retry lanes always reported" true
             (List.exists
                (fun r ->
                  Option.bind (Json.member "source" r) Json.to_str
@@ -319,8 +423,8 @@ let test_json_shapes () =
         | None -> Alcotest.fail "views missing"));
   (* The view is unregistered on the way out of the protect above. *)
   with_profile (fun p ->
-      ignore (Profile.json_body ~interval_s:0.001 p);
-      match Json.parse (Profile.snapshot_block ()) with
+      ignore (Profile.json_body ~retries:(site_retries ()) ~interval_s:0.001 p);
+      match Json.parse (Profile.snapshot_block ~retries:(site_retries ()) ()) with
       | Error e -> Alcotest.failf "active snapshot block invalid: %s" e
       | Ok d -> (
         match Json.member "active" d with
@@ -342,7 +446,7 @@ module Gmap = Nbhash_generic.Generic_map.Make (Int_key)
    the second freezes the bucket the update read, so its install CAS
    fails exactly once and the retry lands in the successor table. *)
 let stale_update ~site ~update ~force_resize () =
-  with_profile (fun p ->
+  with_profile (fun _ ->
       let calls = ref 0 in
       update (fun cur ->
           incr calls;
@@ -355,7 +459,7 @@ let stale_update ~site ~update ~force_resize () =
       Alcotest.(check int)
         (site ^ " retried exactly once")
         1
-        (Profile.retries p (Site.register site)))
+        (retries (Site.register site)))
 
 let test_hashmap_update_retry () =
   let module M = Nbhash.Hashmap in
@@ -381,11 +485,15 @@ let suite =
           test_exact_counts;
         Alcotest.test_case "multi-domain exactness" `Quick
           test_multi_domain_exact;
+        Alcotest.test_case "table run: cas_retry is the per-site sum" `Quick
+          test_table_run_derived_total;
         Alcotest.test_case "stray ids land on unknown" `Quick
           test_unknown_fallback;
         Alcotest.test_case "ping-pong scoring" `Quick test_ping_pong_score;
         Alcotest.test_case "false-sharing live sampler" `Quick
           test_false_sharing_live;
+        Alcotest.test_case "padded lanes score 0, packed control > 0" `Quick
+          test_padded_lanes_vs_packed;
         Alcotest.test_case "memprof attribution smoke" `Quick
           test_memprof_smoke;
         Alcotest.test_case "disabled path allocates nothing" `Quick
