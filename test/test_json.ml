@@ -126,6 +126,33 @@ let test_parse_file () =
           && String.sub msg 0 (String.length bad) = bad)
       | Ok _ -> Alcotest.fail "malformed file parsed")
 
+(* The encoder pair every emitter shares: any byte string escapes to
+   a literal the reader decodes back unchanged (control characters
+   included), and numbers print short, round-trip, and stay finite. *)
+let test_encode () =
+  let all_bytes = String.init 256 Char.chr in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S round-trips" s)
+        true
+        (ok ("\"" ^ Json.escape s ^ "\"") = Json.Str s))
+    [ ""; "plain"; "q\"uote\\slash"; "tab\tnl\ncr\r"; "\000\031\127";
+      String.sub all_bytes 0 128 ];
+  Alcotest.(check string) "short escapes" {|\n\r\t\"\\|}
+    (Json.escape "\n\r\t\"\\");
+  Alcotest.(check string) "other controls use \\u" {|\u0000\u001f|}
+    (Json.escape "\000\031");
+  List.iter
+    (fun (x, want) -> Alcotest.(check string) want want (Json.number x))
+    [ (3., "3"); (-0.5, "-0.5"); (1.5, "1.5"); (0.1, "0.10000000000000001");
+      (1e20, "1e+20"); (Float.nan, "0"); (Float.infinity, "0") ];
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) "number parses back" true
+        (ok (Json.number x) = Json.Num x))
+    [ 0.; 42.; 1.5; 0.1; 1e20; -7.25; 123456789.125 ]
+
 let suite =
   [
     ( "json",
@@ -135,6 +162,7 @@ let suite =
         Alcotest.test_case "arrays and objects" `Quick test_structures;
         Alcotest.test_case "malformed input rejected" `Quick test_rejects;
         Alcotest.test_case "accessors" `Quick test_accessors;
+        Alcotest.test_case "escape and number encode" `Quick test_encode;
         Alcotest.test_case "parse_file errors and round-trip" `Quick
           test_parse_file;
       ] );
